@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"math"
 	"strconv"
 	"strings"
 	"testing"
@@ -119,6 +120,27 @@ func TestFig16OverlapSweep(t *testing.T) {
 		if !strings.Contains(out, lim) {
 			t.Errorf("Fig16 missing limit %s row", lim)
 		}
+	}
+	// Every model in the quick sweep needs a finite isolated baseline.
+	rows := 0
+	for _, line := range strings.Split(out, "\n") {
+		f := strings.Fields(line)
+		if len(f) != 3 {
+			continue
+		}
+		if _, err := strconv.Atoi(f[0]); err != nil {
+			continue
+		}
+		rows++
+		for _, s := range f[1:] {
+			v, err := strconv.ParseFloat(s, 64)
+			if err != nil || math.IsInf(v, 0) || math.IsNaN(v) || v <= 0 {
+				t.Errorf("Fig16 row %q: value %q is not a finite positive ratio", line, s)
+			}
+		}
+	}
+	if rows != 5 {
+		t.Errorf("Fig16 printed %d limit rows, want 5", rows)
 	}
 }
 

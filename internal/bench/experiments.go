@@ -462,7 +462,25 @@ func (h *Harness) Fig16(w io.Writer) {
 	}
 	// The isolated baselines come from the (memoized) main evaluation;
 	// compute it up front so the sweep below is purely independent jobs.
+	// The quick evaluation covers fewer models than the sweep, so any
+	// model it lacks gets its own isolated run.
 	iso := h.MainEval(models.CalibrationBatch).Isolated
+	isoRPS := make(map[string]float64, len(names))
+	var missing []models.Model
+	for _, name := range names {
+		if r, ok := iso[name]; ok {
+			isoRPS[name] = r.RPS
+		} else {
+			m, _ := models.ByName(name)
+			missing = append(missing, m)
+		}
+	}
+	extra := gridMap(h, len(missing), func(i int) float64 {
+		return h.runServer(missing[i], models.CalibrationBatch, 1, policies.MPSDefault, nil).RPS
+	})
+	for i, m := range missing {
+		isoRPS[m.Name] = extra[i]
+	}
 
 	// One job per (limit, model, workers) point, flattened across the
 	// whole sweep; rows are reassembled per limit in the original order.
@@ -484,7 +502,7 @@ func (h *Harness) Fig16(w io.Writer) {
 		j := jobs[i]
 		lim := j.limit
 		res := h.runServer(j.model, models.CalibrationBatch, j.workers, policies.KRISPI, &lim)
-		return res.RPS / iso[j.model.Name].RPS
+		return res.RPS / isoRPS[j.model.Name]
 	})
 
 	var t table

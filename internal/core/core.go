@@ -122,7 +122,7 @@ func NewPhaseRightSizer(prefillCUs, decodeCUs, totalCUs int) *RightSizer {
 // Size returns the partition size for a kernel: the phase-specific size
 // for tagged kernels when configured, else the fixed size if set, else
 // its profiled minCU, else the full device for unprofiled kernels.
-func (r *RightSizer) Size(d kernels.Desc) int {
+func (r *RightSizer) Size(d *kernels.Desc) int {
 	if d.Phase != kernels.PhaseNone {
 		if s := r.phase[d.Phase]; s > 0 {
 			return s
@@ -134,7 +134,7 @@ func (r *RightSizer) Size(d kernels.Desc) int {
 	if r.db == nil {
 		return r.totalCUs
 	}
-	return r.db.MinCU(d, r.totalCUs)
+	return r.db.MinCU(*d, r.totalCUs)
 }
 
 // Ladder levels of the graceful-degradation ladder. A hardened runtime
@@ -311,7 +311,14 @@ func (rt *Runtime) noteIOCTLFailure() {
 
 // LaunchKernel submits one kernel call. onDone fires when the kernel
 // completes on the device.
-func (rt *Runtime) LaunchKernel(d kernels.Desc, onDone func()) {
+//
+// The AQL packet references *d instead of copying it, so the caller keeps
+// *d unchanged until the kernel is first dispatched. A serving loop that
+// rebuilds its descriptor buffer only after its sequence's last kernel
+// completes meets that for free: the queue is FIFO, so every kernel of the
+// sequence has been dispatched by then. Retries run from their own copy
+// (see onFaultFor).
+func (rt *Runtime) LaunchKernel(d *kernels.Desc, onDone func()) {
 	seq := rt.seq
 	rt.seq++
 	switch rt.cfg.Mode {
@@ -346,7 +353,7 @@ type traceRec struct{ recorded bool }
 
 // submit dispatches a kernel (kernel-scoped iff partition > 0) and wires
 // tracing around it.
-func (rt *Runtime) submit(seq int, d kernels.Desc, partition int, onDone func()) {
+func (rt *Runtime) submit(seq int, d *kernels.Desc, partition int, onDone func()) {
 	var rec *traceRec
 	if rt.cfg.Trace != nil {
 		rec = &traceRec{}
@@ -359,7 +366,12 @@ func (rt *Runtime) submit(seq int, d kernels.Desc, partition int, onDone func())
 // sequence continues without the kernel — bounded degradation beats a
 // wedged stream). Returns nil when hardening is disabled, so fault-free
 // runs carry no handler and injected failures are swallowed in hsa.
-func (rt *Runtime) onFaultFor(seq int, d kernels.Desc, partition, attempt int, rec *traceRec, onDone func()) func() {
+//
+// The handler fires when the attempt fails, before the sequence that
+// submitted it can complete, so *d still holds the submitted descriptor;
+// the retry runs from a private copy because it may be dispatched after
+// the caller has reused the buffer d points into.
+func (rt *Runtime) onFaultFor(seq int, d *kernels.Desc, partition, attempt int, rec *traceRec, onDone func()) func() {
 	h := rt.cfg.Hardening
 	if h == nil {
 		return nil
@@ -380,13 +392,14 @@ func (rt *Runtime) onFaultFor(seq int, d kernels.Desc, partition, attempt int, r
 			t.Retries.Inc()
 		}
 		backoff := h.RetryBackoff * sim.Duration(int64(1)<<uint(attempt))
+		snap := *d
 		rt.eng.After(backoff, func() {
-			rt.submitAttempt(seq, d, partition, attempt+1, rec, onDone)
+			rt.submitAttempt(seq, &snap, partition, attempt+1, rec, onDone)
 		})
 	}
 }
 
-func (rt *Runtime) submitAttempt(seq int, d kernels.Desc, partition, attempt int, rec *traceRec, onDone func()) {
+func (rt *Runtime) submitAttempt(seq int, d *kernels.Desc, partition, attempt int, rec *traceRec, onDone func()) {
 	sig := rt.cp.GetSignal(1)
 	onFault := rt.onFaultFor(seq, d, partition, attempt, rec, onDone)
 	if rt.cfg.Trace != nil {
@@ -444,7 +457,7 @@ func (rt *Runtime) submitAttempt(seq int, d kernels.Desc, partition, attempt int
 
 // launchEmulated implements Fig. 11b: barrier (callback: right-size +
 // allocate + IOCTL) -> barrier (wait for mask applied) -> kernel.
-func (rt *Runtime) launchEmulated(seq int, d kernels.Desc, onDone func()) {
+func (rt *Runtime) launchEmulated(seq int, d *kernels.Desc, onDone func()) {
 	// maskApplied is observed (Done) by the second barrier after it
 	// completes, so it takes the explicitly-recycled pool path: the second
 	// barrier's callback returns it once no reference remains.
@@ -489,7 +502,8 @@ func (rt *Runtime) launchEmulated(seq int, d kernels.Desc, onDone func()) {
 }
 
 // RunSequence launches a kernel sequence (one inference pass) and invokes
-// onDone when the final kernel completes.
+// onDone when the final kernel completes. The packets point into descs,
+// which must stay unchanged until onDone fires (see LaunchKernel).
 func (rt *Runtime) RunSequence(descs []kernels.Desc, onDone func()) {
 	if len(descs) == 0 {
 		if onDone != nil {
@@ -497,13 +511,11 @@ func (rt *Runtime) RunSequence(descs []kernels.Desc, onDone func()) {
 		}
 		return
 	}
-	for i, d := range descs {
-		if i == len(descs)-1 {
-			rt.LaunchKernel(d, onDone)
-		} else {
-			rt.LaunchKernel(d, nil)
-		}
+	last := len(descs) - 1
+	for i := range descs[:last] {
+		rt.LaunchKernel(&descs[i], nil)
 	}
+	rt.LaunchKernel(&descs[last], onDone)
 }
 
 // OverheadEstimate is the §V-B accounting for one model.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"krisp/internal/alloc"
@@ -47,19 +48,20 @@ func twoKernels() []kernels.Desc {
 func TestRightSizerUsesDB(t *testing.T) {
 	descs := twoKernels()
 	s := newStack(t, descs, true)
-	if got := s.rs.Size(descs[0]); got != 12 {
+	if got := s.rs.Size(&descs[0]); got != 12 {
 		t.Errorf("Size(small) = %d, want 12", got)
 	}
-	if got := s.rs.Size(descs[1]); got != 60 {
+	if got := s.rs.Size(&descs[1]); got != 60 {
 		t.Errorf("Size(wide) = %d, want 60", got)
 	}
 	// Unprofiled kernels get the full device.
-	if got := s.rs.Size(kernels.SizedCompute("unknown", 5, 10, 1, 1)); got != 60 {
+	unknown := kernels.SizedCompute("unknown", 5, 10, 1, 1)
+	if got := s.rs.Size(&unknown); got != 60 {
 		t.Errorf("Size(unknown) = %d, want 60", got)
 	}
 	// Nil DB always grants the full device.
 	nilRS := NewRightSizer(nil, 60)
-	if got := nilRS.Size(descs[0]); got != 60 {
+	if got := nilRS.Size(&descs[0]); got != 60 {
 		t.Errorf("nil-DB Size = %d, want 60", got)
 	}
 }
@@ -98,7 +100,7 @@ func TestEmulatedModeReconfiguresQueueMask(t *testing.T) {
 	s := newStack(t, descs, false) // no native hardware support
 	rt := s.runtime(Config{Mode: ModeEmulated, OverlapLimit: 0})
 	var maskDuringFirst int
-	rt.LaunchKernel(descs[0], nil)
+	rt.LaunchKernel(&descs[0], nil)
 	// Inspect the device while the first (12-CU) kernel runs. The
 	// emulation path spends ~32us before the kernel starts (two barrier
 	// packets + IOCTL), so probe at 45us.
@@ -143,7 +145,7 @@ func TestPassthroughIgnoresRightSizing(t *testing.T) {
 	s := newStack(t, descs, true)
 	rt := s.runtime(Config{Mode: ModePassthrough})
 	var busy int
-	rt.LaunchKernel(descs[0], nil)
+	rt.LaunchKernel(&descs[0], nil)
 	s.eng.At(10, func() { busy = s.dev.BusyCUs() })
 	s.eng.Run()
 	if busy != 60 {
@@ -276,5 +278,66 @@ func TestRetriedLaunchTracesOnce(t *testing.T) {
 	}
 	if retried != 2 {
 		t.Fatalf("%d records marked as retried, want 2", retried)
+	}
+}
+
+// TestRetryKeepsSubmittedDescriptor pins the descriptor lifetime contract:
+// packets point into the caller's descriptor buffer, which a serving loop
+// rewrites as soon as its sequence completes, yet a retry that outlives
+// the sequence must still dispatch the kernel it was first submitted as.
+func TestRetryKeepsSubmittedDescriptor(t *testing.T) {
+	buf := []kernels.Desc{
+		kernels.SizedCompute("first", 30, 10, 1, 40),
+		kernels.SizedCompute("second", 12, 10, 1, 5),
+		kernels.SizedCompute("third", 12, 10, 1, 5),
+	}
+	orig := buf[0]
+	s := newStack(t, buf, false)
+	s.cp.SetFaults(&failFirst{n: 1})
+	var tr trace.Trace
+	stats := &faults.Stats{}
+	rt := s.runtime(Config{
+		Mode:  ModePassthrough,
+		Trace: &tr,
+		Hardening: &Hardening{
+			MaxRetries: 2, RetryBackoff: 5000, IOCTLFailureStreak: 3, Stats: stats,
+		},
+	})
+	var rebuiltAt sim.Time = -1
+	rt.RunSequence(buf, func() {
+		// The last kernel completed while the first one's retry is still
+		// backing off: build the next jittered batch in the same buffer.
+		rebuiltAt = s.eng.Now()
+		for i := range buf {
+			buf[i].Work.Workgroups *= 3
+			buf[i].Work.WGTime *= 7
+		}
+	})
+	s.eng.Run()
+	if stats.KernelRetries != 1 {
+		t.Fatalf("KernelRetries = %d, want 1", stats.KernelRetries)
+	}
+	var rec *trace.Record
+	for _, r := range tr.Records() {
+		if r.Seq == 0 {
+			r := r
+			rec = &r
+		}
+	}
+	if rec == nil || rec.Attempt != 1 {
+		t.Fatalf("seq 0 trace record = %+v, want one from attempt 1", rec)
+	}
+	if rebuiltAt < 0 || rec.Start <= rebuiltAt {
+		t.Fatalf("retry dispatched at %v, not after the buffer was rebuilt at %v", rec.Start, rebuiltAt)
+	}
+	if rec.Workgroups != orig.Work.Workgroups {
+		t.Errorf("retry dispatched %d workgroups, submitted %d", rec.Workgroups, orig.Work.Workgroups)
+	}
+	// The retry ran alone on the full device, so its run time is the solo
+	// duration of the submitted work — not of the rewritten slot.
+	want := s.dev.Duration(orig.Work, gpu.FullMask(gpu.MI50))
+	if got := rec.End - rec.Start; math.Abs(float64(got-want)) > 1e-9*float64(want) {
+		t.Errorf("retry ran %v, submitted work takes %v (rewritten slot: %v)",
+			got, want, s.dev.Duration(buf[0].Work, gpu.FullMask(gpu.MI50)))
 	}
 }

@@ -60,10 +60,10 @@ func TestEmulatedKernelNeverRacesMaskChange(t *testing.T) {
 	}
 }
 
-func mustDesc(descs []kernels.Desc, name string) kernels.Desc {
-	for _, d := range descs {
-		if d.Name == name {
-			return d
+func mustDesc(descs []kernels.Desc, name string) *kernels.Desc {
+	for i := range descs {
+		if descs[i].Name == name {
+			return &descs[i]
 		}
 	}
 	panic("unknown kernel " + name)

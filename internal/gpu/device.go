@@ -126,6 +126,17 @@ type Exec struct {
 	// fixed at dispatch; memIntensity its bandwidth demand weight.
 	pressure     float64
 	memIntensity float64
+	// waves is the fixed part of the timing model, one entry per SE: the
+	// SE's workgroup share quantized to half waves, raised to WaveExponent
+	// and stretched by degraded CUs (0 for SEs that receive no work). It
+	// depends only on work, mask and CU degradation, so it is filled at
+	// Launch and refreshed only by KillCU and SetCUDegrade. Allocated once
+	// per Exec object and kept across free-list recycles.
+	waves []float64
+	// compute caches the contention-stretched compute term; computeOK
+	// clears whenever a footprint change touches this kernel's mask.
+	compute   sim.Duration
+	computeOK bool
 	// completeFn is the cached completion closure scheduled on the engine;
 	// created once per Exec object and reused across free-list recycles so
 	// steady-state launches allocate nothing.
@@ -283,6 +294,7 @@ func (d *Device) KillCU(cu int) bool {
 		t.CUKills.Inc()
 		t.HealthyCUs.Set(int64(d.healthy.Count()))
 	}
+	var changed CUMask
 	for _, x := range d.running {
 		if !x.mask.Has(cu) {
 			continue
@@ -295,12 +307,14 @@ func (d *Device) KillCU(cu int) bool {
 		if nm.IsEmpty() {
 			nm = d.healthy
 		}
+		changed = changed.Or(x.mask).Or(nm)
 		x.mask = nm
 		x.pressure, x.memIntensity = d.pressureOf(x.work, nm)
+		d.waveCosts(x.work, nm, x.waves)
 		d.chargeExec(nm, x.pressure)
 		d.memPressure += x.memIntensity
 	}
-	d.retime()
+	d.retime(changed)
 	d.observe()
 	return true
 }
@@ -324,7 +338,14 @@ func (d *Device) SetCUDegrade(cu int, stretch float64) {
 	case was && !now:
 		d.numDegraded--
 	}
-	d.retime()
+	// Only kernels running on the CU see a different wave cost: the
+	// degrade sum over any other mask is unchanged.
+	for _, x := range d.running {
+		if x.mask.Has(cu) {
+			d.waveCosts(x.work, x.mask, x.waves)
+		}
+	}
+	d.retime(CUMask{}.Set(cu))
 }
 
 // KernelCount returns the number of kernels currently assigned to CU cu —
@@ -492,7 +513,7 @@ func (d *Device) Launch(work KernelWork, mask CUMask, onDone func()) *Exec {
 		d.execFree[n-1] = nil
 		d.execFree = d.execFree[:n-1]
 	} else {
-		x = &Exec{}
+		x = &Exec{waves: make([]float64, d.Spec.Topo.NumSEs)}
 		xx := x
 		x.completeFn = func() { d.complete(xx) }
 	}
@@ -505,11 +526,13 @@ func (d *Device) Launch(work KernelWork, mask CUMask, onDone func()) *Exec {
 	x.done = nil
 	x.id = d.nextID
 	x.pressure, x.memIntensity = d.pressureOf(work, mask)
+	d.waveCosts(work, mask, x.waves)
+	x.computeOK = false
 	d.chargeExec(mask, x.pressure)
 	d.memPressure += x.memIntensity
 	x.runIdx = len(d.running)
 	d.running = append(d.running, x)
-	d.retime()
+	d.retime(mask)
 	d.observe()
 	return x
 }
@@ -529,7 +552,7 @@ func (d *Device) complete(x *Exec) {
 	if d.memPressure < 0 {
 		d.memPressure = 0
 	}
-	d.retime()
+	d.retime(x.mask)
 	d.observe()
 	// Recycle before the callback: the Exec is fully detached from device
 	// state, and a callback that immediately launches the next kernel can
@@ -560,7 +583,14 @@ func (d *Device) observe() {
 // processor-sharing core: each kernel tracks the fraction of work
 // remaining; when conditions change, elapsed progress is banked at the old
 // speed and the residue re-timed at the new speed.
-func (d *Device) retime() {
+//
+// changed is the footprint the triggering event altered (the launched or
+// completed kernel's mask, the re-masked CUs, the degraded CU). A kernel's
+// compute term reads per-CU pressure and degradation only on its own mask,
+// so it is recomputed only when that mask overlaps changed; the memory
+// term reads the device-wide memPressure and is re-evaluated every time.
+// A completion event whose finish time did not move is left in place.
+func (d *Device) retime(changed CUMask) {
 	now := d.eng.Now()
 	for _, x := range d.running {
 		// Bank progress at the previous speed.
@@ -572,11 +602,18 @@ func (d *Device) retime() {
 			}
 		}
 		x.lastUpdate = now
-		x.curTotal = d.duration(x.work, x.mask, x.pressure, x.memIntensity)
+		if !x.computeOK || !x.mask.And(changed).IsEmpty() {
+			x.compute = d.contendedCompute(x)
+			x.computeOK = true
+		}
+		x.curTotal = d.total(x.work, x.compute, d.memDemand(x.memIntensity))
 		finish := now + x.remaining*x.curTotal
-		if x.done == nil {
+		switch {
+		case x.done == nil:
 			x.done = d.eng.At(finish, x.completeFn)
-		} else {
+		case x.done.At() != finish:
+			// Reschedule keeps the event's FIFO rank, so skipping an
+			// unchanged time is indistinguishable from re-keying it.
 			x.done = d.eng.Reschedule(x.done, finish)
 		}
 	}
@@ -616,16 +653,8 @@ func (d *Device) pressureOf(work KernelWork, mask CUMask) (compute, memIntensity
 
 // Duration computes the solo execution time of work on mask: no CU
 // co-location and full memory bandwidth. Exported for profiling and tests.
-func (d *Device) Duration(work KernelWork, mask CUMask) sim.Duration {
-	return d.duration(work, mask, math.Inf(1), 0)
-}
-
-// duration is the full model. ownPressure is the calling kernel's own
-// per-CU pressure contribution, subtracted from the device's per-CU
-// pressure to leave only co-runners. Pass +Inf to ignore contention (solo
-// view).
 //
-// The model follows observed AMD behaviour (paper §IV-C, [51]):
+// The timing model follows observed AMD behaviour (paper §IV-C, [51]):
 //
 //   - workgroups are split equally across the SEs that have at least one
 //     enabled CU — so the least-provisioned SE gates the kernel, which is
@@ -642,11 +671,25 @@ func (d *Device) Duration(work KernelWork, mask CUMask) sim.Duration {
 //   - memory-bound kernels are limited by their demand-weighted share of
 //     device bandwidth, which is why large kernels can tolerate few CUs
 //     (Fig. 6).
-func (d *Device) duration(work KernelWork, mask CUMask, ownPressure, ownMem float64) sim.Duration {
+//
+// It is evaluated in three parts. waveCosts is fixed for a kernel's
+// lifetime; contendedCompute stretches it by the co-runner pressure on the
+// kernel's own CUs; total adds the bandwidth-shared memory term and the
+// tail. The solo path (Duration) skips the middle part.
+func (d *Device) Duration(work KernelWork, mask CUMask) sim.Duration {
+	worst := d.waveCosts(work, mask, nil)
+	return d.total(work, sim.Duration(worst)*work.WGTime, 1)
+}
+
+// waveCosts evaluates the fixed, contention-free part of the model for
+// work on mask: per SE, the wave cost of the SE's workgroup share,
+// including the degraded-CU stretch. When out is non-nil (len NumSEs) it
+// receives each SE's cost, 0 for SEs that get no workgroups. It returns
+// the worst SE's cost — the solo compute term in WGTime units.
+func (d *Device) waveCosts(work KernelWork, mask CUMask, out []float64) (worst float64) {
 	topo := d.Spec.Topo
-	// Two passes over the (at most 8) SEs instead of materializing a
-	// UsedSEs slice: duration runs for every running kernel on every
-	// launch/complete, so this path must not allocate.
+	// Two passes over the SEs instead of materializing a UsedSEs slice:
+	// this path must not allocate.
 	nSE := 0
 	for se := 0; se < topo.NumSEs; se++ {
 		if mask.seBits(topo, se) != 0 {
@@ -659,9 +702,11 @@ func (d *Device) duration(work KernelWork, mask CUMask, ownPressure, ownMem floa
 	baseWG := work.Workgroups / nSE
 	extraWG := work.Workgroups % nSE
 
-	var worst float64 // waveCost x stretch, worst SE
 	i := 0
 	for se := 0; se < topo.NumSEs; se++ {
+		if out != nil {
+			out[se] = 0
+		}
 		sb := mask.seBits(topo, se)
 		if sb == 0 {
 			continue
@@ -700,48 +745,73 @@ func (d *Device) duration(work KernelWork, mask CUMask, ownPressure, ownMem floa
 				waveCost *= 1 + sumDeg/float64(a)
 			}
 		}
-		// Contention stretch: co-runners always cost a little (cache and
-		// scheduler interference, ShareTax), and once the enabled CUs'
-		// aggregate compute pressure exceeds capacity the oversubscribed
-		// fraction costs fully plus the interference tax.
-		if !math.IsInf(ownPressure, 1) {
-			sumP := 0.0
-			base := se * topo.CUsPerSE
-			for w := sb; w != 0; w &= w - 1 {
-				sumP += d.pressure[base+bits.TrailingZeros64(w)]
-			}
-			avgP := sumP / float64(a)
-			other := avgP - ownPressure
-			if other < 0 {
-				other = 0
-			}
-			stretch := 1 + d.Spec.ShareTax*other
-			if avgP > 1 {
-				stretch += (1 + d.Spec.InterferenceTax) * (avgP - 1)
-			}
-			waveCost *= stretch
+		if out != nil {
+			out[se] = waveCost
 		}
 		if waveCost > worst {
 			worst = waveCost
 		}
 	}
-	compute := sim.Duration(worst) * work.WGTime
+	return worst
+}
 
+// contendedCompute stretches a running kernel's fixed wave costs by the
+// co-runner pressure on its CUs and returns its compute term. Co-runners
+// always cost a little (cache and scheduler interference, ShareTax), and
+// once the enabled CUs' aggregate compute pressure exceeds capacity the
+// oversubscribed fraction costs fully plus the interference tax. The
+// kernel's own pressure is subtracted from the per-CU sums to leave only
+// co-runners.
+func (d *Device) contendedCompute(x *Exec) sim.Duration {
+	topo := d.Spec.Topo
+	var worst float64 // waveCost x stretch, worst SE
+	for se, waveCost := range x.waves {
+		if waveCost == 0 {
+			continue
+		}
+		sb := x.mask.seBits(topo, se)
+		sumP := 0.0
+		base := se * topo.CUsPerSE
+		for w := sb; w != 0; w &= w - 1 {
+			sumP += d.pressure[base+bits.TrailingZeros64(w)]
+		}
+		avgP := sumP / float64(bits.OnesCount64(sb))
+		other := avgP - x.pressure
+		if other < 0 {
+			other = 0
+		}
+		stretch := 1 + d.Spec.ShareTax*other
+		if avgP > 1 {
+			stretch += (1 + d.Spec.InterferenceTax) * (avgP - 1)
+		}
+		waveCost *= stretch
+		if waveCost > worst {
+			worst = waveCost
+		}
+	}
+	return sim.Duration(worst) * x.work.WGTime
+}
+
+// memDemand is a running kernel's bandwidth demand divisor: its own unit
+// plus every co-runner's memory intensity. Bandwidth is shared in
+// proportion to memory intensity: a compute-bound co-runner barely dents
+// a streaming kernel's bandwidth, while two streaming kernels halve each
+// other's.
+func (d *Device) memDemand(ownMem float64) float64 {
+	demand := 1.0
+	if others := d.memPressure - ownMem; others > 0 {
+		demand += others
+	}
+	return demand
+}
+
+// total combines a compute term with the memory term at the given
+// bandwidth demand (1 on an idle device) and adds the serial tail.
+func (d *Device) total(work KernelWork, compute sim.Duration, demand float64) sim.Duration {
 	var mem sim.Duration
 	if work.MemBytes > 0 {
-		// Bandwidth is shared in proportion to memory intensity: a
-		// compute-bound co-runner barely dents a streaming kernel's
-		// bandwidth, while two streaming kernels halve each other's.
-		demand := 1.0
-		if !math.IsInf(ownPressure, 1) {
-			others := d.memPressure - ownMem
-			if others > 0 {
-				demand += others
-			}
-		}
 		mem = work.MemBytes * demand / d.Spec.MemBandwidth
 	}
-
 	t := compute
 	if mem > t {
 		t = mem

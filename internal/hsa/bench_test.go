@@ -46,12 +46,12 @@ var benchDesc = kernels.Desc{
 func BenchmarkDispatch(b *testing.B) {
 	eng, q := dispatchStack(true)
 	for i := 0; i < 8; i++ { // warm the signal/exec pools and the ring
-		q.SubmitKernelScoped(benchDesc, 22, 0, nil)
+		q.SubmitKernelScoped(&benchDesc, 22, 0, nil)
 		eng.Run()
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		q.SubmitKernelScoped(benchDesc, 22, 0, nil)
+		q.SubmitKernelScoped(&benchDesc, 22, 0, nil)
 		eng.Run()
 	}
 }
@@ -61,12 +61,12 @@ func BenchmarkDispatch(b *testing.B) {
 func BenchmarkDispatchPassthrough(b *testing.B) {
 	eng, q := dispatchStack(false)
 	for i := 0; i < 8; i++ {
-		q.SubmitKernel(benchDesc, nil)
+		q.SubmitKernel(&benchDesc, nil)
 		eng.Run()
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		q.SubmitKernel(benchDesc, nil)
+		q.SubmitKernel(&benchDesc, nil)
 		eng.Run()
 	}
 }
@@ -79,12 +79,12 @@ func BenchmarkDispatchPassthrough(b *testing.B) {
 func BenchmarkDispatchWithTelemetry(b *testing.B) {
 	eng, q := telemetryStack(true)
 	for i := 0; i < 8; i++ {
-		q.SubmitKernelScoped(benchDesc, 22, 0, nil)
+		q.SubmitKernelScoped(&benchDesc, 22, 0, nil)
 		eng.Run()
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		q.SubmitKernelScoped(benchDesc, 22, 0, nil)
+		q.SubmitKernelScoped(&benchDesc, 22, 0, nil)
 		eng.Run()
 	}
 }
@@ -112,9 +112,9 @@ func TestDispatchZeroAllocs(t *testing.T) {
 		}
 		submit := func() {
 			if tc.scoped {
-				q.SubmitKernelScoped(benchDesc, 22, 0, nil)
+				q.SubmitKernelScoped(&benchDesc, 22, 0, nil)
 			} else {
-				q.SubmitKernel(benchDesc, nil)
+				q.SubmitKernel(&benchDesc, nil)
 			}
 			eng.Run()
 		}

@@ -127,8 +127,11 @@ const (
 type Packet struct {
 	Type PacketType
 
-	// Kernel dispatch fields.
-	Kernel kernels.Desc
+	// Kernel dispatch fields. Kernel points at the submitter's descriptor
+	// (a model's cached sequence or a worker's jittered buffer) instead of
+	// carrying an 80-byte copy through every packet move; the submitter
+	// keeps it unchanged until the packet is dispatched.
+	Kernel *kernels.Desc
 	// PartitionCUs is KRISP's extension to the AQL kernel packet: the
 	// partition size injected by kernel-wise right-sizing in the runtime.
 	// Zero means "no kernel-scoped partition" and the kernel inherits the
@@ -634,17 +637,17 @@ func (q *Queue) Submit(p Packet) {
 
 // SubmitKernel is a convenience wrapper: enqueue a kernel dispatch whose
 // completion invokes onDone.
-func (q *Queue) SubmitKernel(d kernels.Desc, onDone func()) {
+func (q *Queue) SubmitKernel(d *kernels.Desc, onDone func()) {
 	q.submitKernel(d, 0, 0, onDone)
 }
 
 // SubmitKernelScoped enqueues a kernel dispatch carrying KRISP's partition
 // size and overlap limit in the extended AQL fields.
-func (q *Queue) SubmitKernelScoped(d kernels.Desc, partitionCUs, overlapLimit int, onDone func()) {
+func (q *Queue) SubmitKernelScoped(d *kernels.Desc, partitionCUs, overlapLimit int, onDone func()) {
 	q.submitKernel(d, partitionCUs, overlapLimit, onDone)
 }
 
-func (q *Queue) submitKernel(d kernels.Desc, cus, limit int, onDone func()) {
+func (q *Queue) submitKernel(d *kernels.Desc, cus, limit int, onDone func()) {
 	sig := q.cp.GetSignal(1)
 	if onDone != nil {
 		sig.OnDone(onDone)

@@ -18,8 +18,9 @@ func newStack(kernelScoped bool) (*sim.Engine, *gpu.Device, *CommandProcessor) {
 }
 
 // oneWave is a 600-WG compute kernel: 1 wave on the full MI50 (~10us).
-func oneWave() kernels.Desc {
-	return kernels.SizedCompute("test", 60, 10, 1, 10)
+func oneWave() *kernels.Desc {
+	d := kernels.SizedCompute("test", 60, 10, 1, 10)
+	return &d
 }
 
 func TestSignalLifecycle(t *testing.T) {

@@ -41,7 +41,7 @@ func TestQueueStressProperty(t *testing.T) {
 				signals = append(signals, sig)
 				q.Submit(Packet{
 					Type:         KernelDispatch,
-					Kernel:       d,
+					Kernel:       &d,
 					PartitionCUs: 1 + rng.Intn(60),
 					OverlapLimit: rng.Intn(61),
 					Completion:   sig,
@@ -90,7 +90,7 @@ func TestQueueFIFOProperty(t *testing.T) {
 		for i := 0; i < n; i++ {
 			i := i
 			d := kernels.SizedCompute("k", 1+rng.Intn(60), 10, 1, sim.Duration(1+rng.Intn(50)))
-			q.SubmitKernel(d, func() { order = append(order, i) })
+			q.SubmitKernel(&d, func() { order = append(order, i) })
 		}
 		eng.Run()
 		if len(order) != n {

@@ -211,7 +211,7 @@ func (r *runner) launchKernel(i int) {
 		r.batchDone()
 		return
 	}
-	d := r.descs[i]
+	d := &r.descs[i]
 	partition := 0
 	if r.scheme == KernelScoped {
 		partition = r.curSize

@@ -98,7 +98,9 @@ type llmEngine struct {
 	retryPending bool
 	// Pre-bound step hooks; one set per replica, zero-alloc steady state.
 	kickFn, stepFn, retryFn func()
-	descBuf                 []kernels.Desc
+	// descBuf holds the current step's kernels; its packets point into it
+	// until the step's last kernel completes.
+	descBuf []kernels.Desc
 }
 
 // reset re-arms the engine for a (re)added replica.

@@ -426,6 +426,8 @@ type Replica struct {
 	// built on first use. Kernel geometry depends only on the batch size,
 	// so partial batches (the tail of a drained queue, a trickle workload)
 	// hit the cache too instead of rebuilding the sequence every batch.
+	// descBuf is the jittered copy; the in-flight batch's packets point
+	// into it, and it is rewritten only when the next batch starts.
 	descCache [][]kernels.Desc
 	descBuf   []kernels.Desc
 
@@ -816,10 +818,10 @@ func (r *Replica) batchKernels(n int) []kernels.Desc {
 		r.descBuf = make([]kernels.Desc, len(base))
 	}
 	out := r.descBuf[:len(base)]
-	for i, d := range base {
+	copy(out, base)
+	for i := range out {
 		f := 1 + r.node.cfg.Jitter*(2*r.rng.Float64()-1)
-		d.Work.WGTime *= sim.Duration(f)
-		out[i] = d
+		out[i].Work.WGTime *= sim.Duration(f)
 	}
 	return out
 }

@@ -543,9 +543,10 @@ type worker struct {
 	tel                      *workerTelemetry
 
 	// baseDescs caches the closed-loop kernel sequence (fixed batch size);
-	// descBuf is the reusable jittered copy. RunSequence copies every desc
-	// by value into its packets before returning, so the buffer is free for
-	// the next batch as soon as the sequence is submitted.
+	// descBuf is the reusable jittered copy. The submitted packets point
+	// into it, so it is rebuilt only in the next batch's preDone — after the
+	// sequence's last kernel completed, when every first attempt has been
+	// dispatched (retries run from the runtime's own copy).
 	baseDescs []kernels.Desc
 	descBuf   []kernels.Desc
 
@@ -627,10 +628,10 @@ func (w *worker) jittered(descs []kernels.Desc) []kernels.Desc {
 		w.descBuf = make([]kernels.Desc, len(descs))
 	}
 	out := w.descBuf[:len(descs)]
-	for i, d := range descs {
+	copy(out, descs)
+	for i := range out {
 		f := 1 + w.jitter*(2*w.rng.Float64()-1)
-		d.Work.WGTime *= sim.Duration(f)
-		out[i] = d
+		out[i].Work.WGTime *= sim.Duration(f)
 	}
 	return out
 }
