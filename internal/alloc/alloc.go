@@ -22,11 +22,10 @@
 // isolatable.
 //
 // Algorithm 1 runs on every kernel launch, so the allocator is built for
-// the dispatch fast path: an Allocator owns fixed topology-sized scratch
-// buffers and sorts them with insertion sort, allocating nothing per call,
-// and a MaskCache in front of it memoizes the dominant request shapes
-// (idle-device allocations and repeated occupancy states keyed by the
-// device's occupancy generation counter).
+// the dispatch fast path: it reads the Resource Monitor's bit planes
+// (gpu.Planes) directly — SE loads by popcount, least-loaded CU sets by
+// mask arithmetic — and allocates nothing per call. A MaskCache in front of
+// it memoizes idle-device allocations, the dominant request shape.
 package alloc
 
 import (
@@ -88,68 +87,43 @@ type Request struct {
 type Allocator struct {
 	topo gpu.Topology
 
-	// seLoads[se] is the summed kernel counter of SE se; seOrder holds SE
-	// ids sorted least-loaded first (insertion sort keeps ties in SE-id
-	// order, matching the stable sort of the original implementation).
+	// seMasks[se] holds SE se's CUs. seLoads[se] is the SE's sort key (its
+	// summed kernel count); seOrder holds SE ids sorted least-loaded first
+	// (insertion sort keeps ties in SE-id order, matching the stable sort
+	// of the original implementation).
+	seMasks []gpu.CUMask
 	seLoads []int
 	seOrder []int
-	// cuOrder holds the current SE's CU indices sorted least-loaded first.
-	cuOrder []int
 	// quotas is the per-selected-SE CU quota buffer.
 	quotas []int
-	// zeros stands in for nil counters (idle device); never written.
-	zeros []int
-	// ext is the biased counter copy used by the progress-floor extension.
-	ext []int
 }
 
 // NewAllocator builds an allocator for one device topology.
 func NewAllocator(topo gpu.Topology) *Allocator {
-	total := topo.TotalCUs()
-	return &Allocator{
+	a := &Allocator{
 		topo:    topo,
+		seMasks: make([]gpu.CUMask, topo.NumSEs),
 		seLoads: make([]int, topo.NumSEs),
 		seOrder: make([]int, topo.NumSEs),
-		cuOrder: make([]int, topo.CUsPerSE),
 		quotas:  make([]int, topo.NumSEs),
-		zeros:   make([]int, total),
-		ext:     make([]int, total),
 	}
+	for se := range a.seMasks {
+		a.seMasks[se] = gpu.RangeMask(topo, topo.CUIndex(se, 0), topo.CUsPerSE)
+	}
+	return a
 }
 
-// Topology returns the device topology the allocator was built for.
-func (a *Allocator) Topology() gpu.Topology { return a.topo }
-
-// Generate runs Algorithm 1 and returns the kernel resource mask.
-// counters must have one entry per physical CU (the Resource Monitor
-// state); a nil counters slice means an idle device. counters is never
-// mutated.
+// Generate runs Algorithm 1 against the Resource Monitor state occ (the
+// zero gpu.Planes for an idle device) and returns the kernel resource mask.
+// occ is never mutated.
 //
 // The mask is never empty: if the overlap limit filtered out every
 // candidate (all CUs busy under KRISP-I), the single least-loaded CU is
 // granted so the kernel can make progress. The paper's evaluation implies
 // the same floor ("we allocate only what is available").
-func (a *Allocator) Generate(counters []int, req Request) gpu.CUMask {
-	if counters == nil {
-		counters = a.zeros
-	}
-	return a.generate(counters, req, true)
-}
-
-// generate is one Algorithm 1 pass. extend gates the progress-floor
-// extension: the extension pass itself runs with NoOverlapLimit and no
-// MinGrant, which can never come up short again, so recursion is bounded
-// at depth one and replaced by a plain second pass over the same scratch.
-func (a *Allocator) generate(counters []int, req Request, extend bool) gpu.CUMask {
-	topo := a.topo
-	total := topo.TotalCUs()
-	numCUs := req.NumCUs
-	if numCUs < 1 {
-		numCUs = 1
-	}
-	if numCUs > total {
-		numCUs = total
-	}
+func (a *Allocator) Generate(occ *gpu.Planes, req Request) gpu.CUMask {
+	total := a.topo.TotalCUs()
+	numCUs := min(max(req.NumCUs, 1), total)
 
 	// Isolation-seeking requests (a finite overlap limit) exceed the fair
 	// share only when the full request fits in currently free CUs:
@@ -159,56 +133,11 @@ func (a *Allocator) generate(counters []int, req Request, extend bool) gpu.CUMas
 	// left for other streams, so concurrent streams converge to an even
 	// split while a lone stream still gets its full request.
 	if req.MinGrant > 0 && req.OverlapLimit < total &&
-		numCUs > req.MinGrant && numCUs > FreeCUs(counters) {
+		numCUs > req.MinGrant && numCUs > total-occ.Busy() {
 		numCUs = req.MinGrant
 	}
 
-	quotas := a.seQuotas(numCUs, req.Policy)
-
-	// Select SEs ordered by total assigned kernels, least-loaded first
-	// (Algorithm 1 lines 4-8). Ties break on SE id for determinism.
-	order := a.seOrder[:topo.NumSEs]
-	for se := 0; se < topo.NumSEs; se++ {
-		sum := 0
-		for c := 0; c < topo.CUsPerSE; c++ {
-			sum += counters[topo.CUIndex(se, c)]
-		}
-		a.seLoads[se] = sum
-		order[se] = se
-	}
-	insertionSortByKey(order, a.seLoads)
-
-	var mask gpu.CUMask
-	allocated := 0
-	overlapped := 0
-	for i := 0; i < len(quotas) && allocated < numCUs; i++ {
-		se := order[i]
-		// Within the SE, order CUs by assigned-kernel count (line 12).
-		cus := a.cuOrder[:topo.CUsPerSE]
-		for c := 0; c < topo.CUsPerSE; c++ {
-			cus[c] = topo.CUIndex(se, c)
-		}
-		insertionSortByKey(cus, counters)
-
-		take := quotas[i]
-		if rem := numCUs - allocated; take > rem {
-			take = rem
-		}
-		for j := 0; j < take && allocated < numCUs; j++ {
-			cu := cus[j]
-			busy := counters[cu] > 0
-			if busy {
-				overlapped++
-			}
-			if !busy || overlapped <= req.OverlapLimit {
-				mask = mask.Set(cu)
-			}
-			// Budget is consumed whether or not the bit was set — the
-			// Algorithm 1 quirk that makes constrained allocations
-			// smaller than requested instead of hunting further.
-			allocated++
-		}
-	}
+	mask := a.pass(occ, numCUs, req.OverlapLimit, req.Policy, gpu.CUMask{})
 
 	// Progress floor. If the overlap limit starved the allocation (below
 	// MinGrant, or empty outright), extend it with overlapped
@@ -217,41 +146,84 @@ func (a *Allocator) generate(counters []int, req Request, extend bool) gpu.CUMas
 	// the kernel's whole lifetime. This is the "allocate only what is
 	// available" clause of the paper's KRISP-I description, taken at the
 	// point where "available" becomes the time-shared machine.
-	floor := req.MinGrant
-	if floor > numCUs {
-		floor = numCUs
-	}
+	floor := min(req.MinGrant, numCUs)
 	if mask.IsEmpty() && floor < 1 {
 		floor = numCUs
 	}
 	// A grant moderately below the fair share costs little (wave counts
 	// quantize), while overlapping poisons both kernels on the shared
 	// CUs, so the overlapped extension only fires when the isolated grant
-	// fell below half the floor — the genuine starvation cases.
-	floor = (floor + 1) / 2
-	if short := floor - mask.Count(); extend && short > 0 {
-		ext := a.ext[:len(counters)]
-		copy(ext, counters)
-		for cu := 0; cu < total; cu++ {
-			if mask.Has(cu) {
-				ext[cu] += busyMark
-			}
-		}
-		extra := a.generate(ext, Request{
-			NumCUs:       short,
-			OverlapLimit: NoOverlapLimit,
-			Policy:       req.Policy,
-		}, false)
-		mask = mask.Or(extra)
+	// fell below half the floor — the genuine starvation cases. The
+	// extension is a second pass with no overlap limit that ranks the
+	// CUs already granted last.
+	if short := (floor+1)/2 - mask.Count(); short > 0 {
+		mask = mask.Or(a.pass(occ, short, NoOverlapLimit, req.Policy, mask))
 	}
 	return mask
 }
 
-// insertionSortByKey sorts ids ascending by key[id]. Insertion sort only
-// moves an element past strictly-greater predecessors, so equal keys keep
-// their original order — the stability GenerateMask's determinism relies
-// on — and the N<=16 inputs here beat sort.SliceStable without allocating
-// its closure.
+// pass is one Algorithm 1 pass for numCUs CUs. CUs in granted rank after
+// every other CU: SEs order by (granted CUs, load) and, within an SE, the
+// granted CUs are visited after the ungranted ones.
+//
+// Within an SE, CUs are visited level by level — the CUs holding the
+// fewest kernels first, lowest CU id first within a level — which is the
+// (count, CU id) order of a stable sort by count. A level that fits the
+// remaining quota and overlap budget is taken with one OR.
+func (a *Allocator) pass(occ *gpu.Planes, numCUs, overlapLimit int, p Policy, granted gpu.CUMask) gpu.CUMask {
+	quotas := a.seQuotas(numCUs, p)
+
+	// Select SEs ordered by total assigned kernels, least-loaded first
+	// (Algorithm 1 lines 4-8). Ties break on SE id for determinism.
+	order := a.seOrder
+	for se, sm := range a.seMasks {
+		a.seLoads[se] = occ.Load(sm) + busyMark*sm.And(granted).Count()
+		order[se] = se
+	}
+	insertionSortByKey(order, a.seLoads)
+
+	var mask gpu.CUMask
+	overlapped := 0
+	// The quotas sum to numCUs and none exceeds an SE, so every SE's
+	// quota is consumed in full.
+	for i, take := range quotas {
+		sm := a.seMasks[order[i]]
+		for _, cands := range [2]gpu.CUMask{sm.AndNot(granted), sm.And(granted)} {
+			for take > 0 && !cands.IsEmpty() {
+				level := occ.MinLevel(cands)
+				busy := !level.And(occ.Occupied()).IsEmpty()
+				if busy && overlapped >= overlapLimit {
+					// Every later level is busy too, and the budget
+					// is spent: nothing more in this SE is granted.
+					break
+				}
+				cands = cands.AndNot(level)
+				n := level.Count()
+				if n > take {
+					level, n = level.Lowest(take), take
+				}
+				take -= n
+				if busy {
+					// Busy CUs are granted while the overlap budget
+					// lasts; past it they still consume quota without
+					// setting a bit — the Algorithm 1 quirk that makes
+					// constrained allocations smaller than requested
+					// instead of hunting further.
+					if allow := overlapLimit - overlapped; allow < n {
+						level = level.Lowest(allow)
+					}
+					overlapped += n
+				}
+				mask = mask.Or(level)
+			}
+		}
+	}
+	return mask
+}
+
+// insertionSortByKey sorts ids ascending by key[id], stably: equal keys
+// keep their order, which Algorithm 1's determinism relies on. It sorts the
+// N<=8 SEs without allocating sort.SliceStable's closure.
 func insertionSortByKey(ids []int, key []int) {
 	for i := 1; i < len(ids); i++ {
 		id := ids[i]
@@ -265,8 +237,8 @@ func insertionSortByKey(ids []int, key []int) {
 	}
 }
 
-// busyMark biases already-granted CUs so the floor extension prefers other
-// CUs; it is large enough to outrank any realistic kernel count.
+// busyMark weighs each granted CU in an SE's sort key so the floor
+// extension prefers SEs holding fewer granted CUs over any realistic load.
 const busyMark = 1 << 20
 
 // seQuotas fills the per-selected-SE CU quotas for a request of numCUs
@@ -284,18 +256,12 @@ func (a *Allocator) seQuotas(numCUs int, p Policy) []int {
 	var numSE int
 	switch p {
 	case Distributed:
-		numSE = topo.NumSEs
-		if numCUs < numSE {
-			numSE = numCUs
-		}
+		numSE = min(topo.NumSEs, numCUs)
 	case Packed:
 		quotas := a.quotas[:ceilDiv(numCUs, topo.CUsPerSE)]
 		left := numCUs
 		for i := range quotas {
-			take := topo.CUsPerSE
-			if take > left {
-				take = left
-			}
+			take := min(topo.CUsPerSE, left)
 			quotas[i] = take
 			left -= take
 		}
@@ -314,23 +280,12 @@ func (a *Allocator) seQuotas(numCUs int, p Policy) []int {
 	return quotas
 }
 
-// GenerateMask runs Algorithm 1 once with a throwaway Allocator. It is the
-// compatibility wrapper for cold paths (policy carving, figures, tests);
-// the dispatch fast path holds a reusable Allocator (or a MaskCache)
-// instead.
+// GenerateMask runs Algorithm 1 once with a throwaway Allocator over
+// per-CU counters (nil: idle device). It is the compatibility wrapper for
+// cold paths (policy carving, figures, tests); the dispatch fast path holds
+// a reusable Allocator (or a MaskCache) over the device's planes instead.
 func GenerateMask(topo gpu.Topology, counters []int, req Request) gpu.CUMask {
-	return NewAllocator(topo).Generate(counters, req)
+	return NewAllocator(topo).Generate(gpu.PlanesOf(counters), req)
 }
 
 func ceilDiv(a, b int) int { return (a + b - 1) / b }
-
-// FreeCUs returns the number of CUs with no kernels assigned.
-func FreeCUs(counters []int) int {
-	n := 0
-	for _, c := range counters {
-		if c == 0 {
-			n++
-		}
-	}
-	return n
-}

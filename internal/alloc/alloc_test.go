@@ -177,11 +177,13 @@ func TestPolicyString(t *testing.T) {
 	}
 }
 
+// TestFreeCUs pins the free-CU count the MinGrant cap reads: total CUs
+// minus the popcount of the occupied mask.
 func TestFreeCUs(t *testing.T) {
 	counters := idle()
 	counters[3], counters[40] = 2, 1
-	if got := FreeCUs(counters); got != 58 {
-		t.Errorf("FreeCUs = %d, want 58", got)
+	if got := mi50.TotalCUs() - gpu.PlanesOf(counters).Busy(); got != 58 {
+		t.Errorf("free CUs = %d, want 58", got)
 	}
 }
 

@@ -4,16 +4,6 @@ import (
 	"krisp/internal/gpu"
 )
 
-// Occupancy is the live Resource Monitor view a MaskCache reads:
-// *gpu.Device implements it. CountersView must return the device's live
-// per-CU kernel counters without copying, and OccupancyGen a counter that
-// changes whenever those counters change.
-type Occupancy interface {
-	CountersView() []int
-	OccupancyGen() uint64
-	BusyCUs() int
-}
-
 // idleKey identifies an idle-device allocation. When every counter is
 // zero, the mask depends only on these three request fields: the MinGrant
 // cap cannot fire (the full clamped request fits in free CUs) and the
@@ -25,24 +15,18 @@ type idleKey struct {
 	overlap int
 }
 
-// MaskCache memoizes Algorithm 1 for the two shapes that dominate the
-// dispatch stream: idle-device requests (every kernel of a lone worker
-// lands on an idle device between batches) and back-to-back requests
-// against an unchanged occupancy state, invalidated by the device's
-// occupancy generation counter. Cached masks are the allocator's own
-// output, so cached and uncached runs are byte-identical.
+// MaskCache memoizes Algorithm 1 for the shape that dominates the dispatch
+// stream: idle-device requests (every kernel of a lone worker, and nearly
+// every dispatch of a fleet, lands on an idle device). Busy-state requests
+// run the allocator on the device's planes directly; the planes change on
+// every launch and completion, so a busy-state entry would almost never
+// hit. Cached masks are the allocator's own output, so cached and uncached
+// runs are byte-identical.
 type MaskCache struct {
 	alloc *Allocator
 	idle  map[idleKey]gpu.CUMask
 
-	// Single-entry busy-state cache: valid while the device occupancy
-	// generation still matches and the request is identical.
-	busyGen   uint64
-	busyReq   Request
-	busyMask  gpu.CUMask
-	busyValid bool
-
-	// Hits and Misses count cache outcomes (for tests and benchmarks).
+	// Hits and Misses count idle-map outcomes (for tests and benchmarks).
 	Hits, Misses uint64
 }
 
@@ -55,32 +39,19 @@ func NewMaskCache(topo gpu.Topology) *MaskCache {
 	}
 }
 
-// Allocator returns the cache's backing allocator (for uncached calls that
-// still want the scratch buffers).
-func (c *MaskCache) Allocator() *Allocator { return c.alloc }
-
-// Generate returns the Algorithm 1 mask for req against occ's current
-// counters, serving it from cache when the occupancy state provably
-// matches a previous call.
-func (c *MaskCache) Generate(occ Occupancy, req Request) gpu.CUMask {
-	if occ.BusyCUs() == 0 {
-		k := idleKey{numCUs: req.NumCUs, policy: req.Policy, overlap: req.OverlapLimit}
-		if m, ok := c.idle[k]; ok {
-			c.Hits++
-			return m
-		}
-		m := c.alloc.Generate(nil, req)
-		c.idle[k] = m
-		c.Misses++
+// Generate returns the Algorithm 1 mask for req against the Resource
+// Monitor state occ, serving idle-device requests from the idle map.
+func (c *MaskCache) Generate(occ *gpu.Planes, req Request) gpu.CUMask {
+	if occ.Busy() != 0 {
+		return c.alloc.Generate(occ, req)
+	}
+	k := idleKey{numCUs: req.NumCUs, policy: req.Policy, overlap: req.OverlapLimit}
+	if m, ok := c.idle[k]; ok {
+		c.Hits++
 		return m
 	}
-	gen := occ.OccupancyGen()
-	if c.busyValid && c.busyGen == gen && c.busyReq == req {
-		c.Hits++
-		return c.busyMask
-	}
-	m := c.alloc.Generate(occ.CountersView(), req)
-	c.busyGen, c.busyReq, c.busyMask, c.busyValid = gen, req, m, true
+	m := c.alloc.Generate(occ, req)
+	c.idle[k] = m
 	c.Misses++
 	return m
 }

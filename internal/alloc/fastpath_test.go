@@ -7,44 +7,12 @@ import (
 	"krisp/internal/gpu"
 )
 
-// fakeOcc is a scriptable Occupancy for cache tests: counters, generation
-// and busy count are set directly.
-type fakeOcc struct {
-	counters []int
-	gen      uint64
-	busy     int
-}
-
-func (f *fakeOcc) CountersView() []int  { return f.counters }
-func (f *fakeOcc) OccupancyGen() uint64 { return f.gen }
-func (f *fakeOcc) BusyCUs() int         { return f.busy }
-
-// bump mutates one counter the way a device launch/completion would:
-// counters change and the generation advances.
-func (f *fakeOcc) bump(cu, delta int) {
-	f.counters[cu] += delta
-	f.gen++
-	f.busy = 0
-	for _, c := range f.counters {
-		if c > 0 {
-			f.busy++
-		}
-	}
-}
-
 func randomRequest(rng *rand.Rand) Request {
 	req := Request{
 		NumCUs: rng.Intn(70),
 		Policy: Policy(rng.Intn(3)),
 	}
-	switch rng.Intn(3) {
-	case 0:
-		req.OverlapLimit = 0
-	case 1:
-		req.OverlapLimit = rng.Intn(12)
-	default:
-		req.OverlapLimit = NoOverlapLimit
-	}
+	req.OverlapLimit = randomOverlapLimit(rng)
 	if rng.Intn(2) == 0 {
 		req.MinGrant = rng.Intn(61)
 	}
@@ -64,7 +32,7 @@ func TestAllocatorMatchesGenerateMask(t *testing.T) {
 			counters[i] = rng.Intn(4)
 		}
 		req := randomRequest(rng)
-		got := a.Generate(counters, req)
+		got := a.Generate(gpu.PlanesOf(counters), req)
 		want := GenerateMask(gpu.MI50, counters, req)
 		if !got.Equal(want) {
 			t.Fatalf("iter %d req %+v: reused allocator %v, fresh %v", iter, req, got, want)
@@ -81,17 +49,17 @@ func TestAllocatorZeroAllocs(t *testing.T) {
 		busy[i] = 1 + i%2
 	}
 	cases := []struct {
-		name     string
-		counters []int
-		req      Request
+		name string
+		occ  *gpu.Planes
+		req  Request
 	}{
-		{"idle", nil, Request{NumCUs: 22, OverlapLimit: 0, MinGrant: 15}},
-		{"busy", busy, Request{NumCUs: 22, OverlapLimit: NoOverlapLimit}},
-		{"floor-extension", busy, Request{NumCUs: 22, OverlapLimit: 0, MinGrant: 30}},
+		{"idle", &gpu.Planes{}, Request{NumCUs: 22, OverlapLimit: 0, MinGrant: 15}},
+		{"busy", gpu.PlanesOf(busy), Request{NumCUs: 22, OverlapLimit: NoOverlapLimit}},
+		{"floor-extension", gpu.PlanesOf(busy), Request{NumCUs: 22, OverlapLimit: 0, MinGrant: 30}},
 	}
 	for _, tc := range cases {
 		if allocs := testing.AllocsPerRun(200, func() {
-			_ = a.Generate(tc.counters, tc.req)
+			_ = a.Generate(tc.occ, tc.req)
 		}); allocs != 0 {
 			t.Errorf("%s: %v allocs/op, want 0", tc.name, allocs)
 		}
@@ -99,34 +67,25 @@ func TestAllocatorZeroAllocs(t *testing.T) {
 }
 
 // TestMaskCacheMatchesUncached runs a mutation script through a MaskCache
-// and checks every served mask — hit or miss, idle or busy — against an
+// and checks every served mask — idle hit, idle miss or busy — against an
 // uncached computation on the same counters.
 func TestMaskCacheMatchesUncached(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	c := NewMaskCache(gpu.MI50)
-	occ := &fakeOcc{counters: make([]int, 60)}
+	counters := make([]int, 60)
 	for iter := 0; iter < 3000; iter++ {
 		switch rng.Intn(5) {
 		case 0: // return to idle
-			for i := range occ.counters {
-				occ.counters[i] = 0
-			}
-			occ.gen++
-			occ.busy = 0
+			clear(counters)
 		case 1, 2: // occupancy change
-			occ.bump(rng.Intn(60), 1)
-		default: // unchanged state — exercises the generation-keyed hit
+			counters[rng.Intn(60)]++
+		default: // unchanged state
 		}
 		req := randomRequest(rng)
-		got := c.Generate(occ, req)
-		var counters []int
-		if occ.busy > 0 {
-			counters = occ.counters
-		}
+		got := c.Generate(gpu.PlanesOf(counters), req)
 		want := GenerateMask(gpu.MI50, counters, req)
 		if !got.Equal(want) {
-			t.Fatalf("iter %d req %+v gen %d busy %d: cached %v, uncached %v",
-				iter, req, occ.gen, occ.busy, got, want)
+			t.Fatalf("iter %d req %+v counters %v: cached %v, uncached %v", iter, req, counters, got, want)
 		}
 	}
 	if c.Hits == 0 {
@@ -157,29 +116,26 @@ func TestIdleMaskIndependentOfMinGrant(t *testing.T) {
 	}
 }
 
-// TestMaskCacheHitServesCachedGrid asserts the cache actually serves the
-// dominant shapes from cache: an idle-device repeat and a same-generation
-// busy repeat must both count as hits.
+// TestMaskCacheHitServesCachedGrid asserts the cache serves the dominant
+// shape from the idle map — an idle-device repeat is a hit — while a busy
+// device always runs the allocator on its planes, leaving the idle
+// counters untouched.
 func TestMaskCacheHitServesCachedGrid(t *testing.T) {
 	c := NewMaskCache(gpu.MI50)
-	occ := &fakeOcc{counters: make([]int, 60)}
 	req := Request{NumCUs: 22, OverlapLimit: 0, MinGrant: 60}
-	first := c.Generate(occ, req)
-	again := c.Generate(occ, req)
-	if c.Hits != 1 || !first.Equal(again) {
-		t.Fatalf("idle repeat: hits = %d, masks equal = %v", c.Hits, first.Equal(again))
+	first := c.Generate(&gpu.Planes{}, req)
+	again := c.Generate(&gpu.Planes{}, req)
+	if c.Hits != 1 || c.Misses != 1 || !first.Equal(again) {
+		t.Fatalf("idle repeat: hits = %d misses = %d, masks equal = %v", c.Hits, c.Misses, first.Equal(again))
 	}
-	occ.bump(3, 1)
+	counters := make([]int, 60)
+	counters[3] = 1
 	busyReq := Request{NumCUs: 10, OverlapLimit: 0, MinGrant: 15}
-	first = c.Generate(occ, busyReq)
-	again = c.Generate(occ, busyReq)
-	if c.Hits != 2 || !first.Equal(again) {
-		t.Fatalf("busy repeat: hits = %d, masks equal = %v", c.Hits, first.Equal(again))
+	got := c.Generate(gpu.PlanesOf(counters), busyReq)
+	if want := GenerateMask(gpu.MI50, counters, busyReq); !got.Equal(want) || got.Has(3) {
+		t.Fatalf("busy request: got %v, want %v", got, want)
 	}
-	occ.bump(3, 1) // generation moves: cached busy entry must be dropped
-	misses := c.Misses
-	_ = c.Generate(occ, busyReq)
-	if c.Misses != misses+1 {
-		t.Fatalf("stale generation served from cache (misses %d -> %d)", misses, c.Misses)
+	if c.Hits != 1 || c.Misses != 1 {
+		t.Fatalf("busy request touched the idle map: hits = %d misses = %d", c.Hits, c.Misses)
 	}
 }

@@ -7,8 +7,8 @@ import (
 )
 
 // FuzzGenerateMask drives Algorithm 1 with arbitrary counter states and
-// request shapes; the mask must always be non-empty, within the clamped
-// request size, and inside the device.
+// request shapes; the mask must equal the counter oracle's, and always be
+// non-empty, within the clamped request size, and inside the device.
 func FuzzGenerateMask(f *testing.F) {
 	f.Add(uint(19), uint(0), uint(0), uint(15), uint64(0))
 	f.Add(uint(60), uint(60), uint(1), uint(0), uint64(0xffffffffffffffff))
@@ -28,6 +28,9 @@ func FuzzGenerateMask(f *testing.F) {
 			MinGrant:     int(minGrant % 70),
 		}
 		mask := GenerateMask(gpu.MI50, counters, req)
+		if want := referenceGenerate(gpu.MI50, counters, req); mask != want {
+			t.Fatalf("req %+v counters %v: planes %v, reference %v", req, counters, mask, want)
+		}
 		if mask.IsEmpty() {
 			t.Fatalf("empty mask for %+v", req)
 		}

@@ -50,3 +50,32 @@ func TestGridMapOrdersAndFallsBack(t *testing.T) {
 		}
 	}
 }
+
+// TestRunMemoMatchesFreshHarness guards the runServer memo: experiments
+// that share isolated baselines and main-evaluation cells through one
+// harness — serial, and at 8 workers where grid goroutines share memoized
+// Results — must print exactly the bytes each prints on a fresh harness.
+func TestRunMemoMatchesFreshHarness(t *testing.T) {
+	ids := []string{"table3", "table4", "fig12", "fig16", "ablation", "extension"}
+	fresh := make([][]byte, len(ids))
+	for i, id := range ids {
+		var b bytes.Buffer
+		if err := New(Options{Seed: 7, Quick: true, Parallel: 1}).Run(id, &b); err != nil {
+			t.Fatalf("fresh %s: %v", id, err)
+		}
+		fresh[i] = b.Bytes()
+	}
+	for _, parallel := range []int{1, 8} {
+		h := New(Options{Seed: 7, Quick: true, Parallel: parallel})
+		for i, id := range ids {
+			var b bytes.Buffer
+			if err := h.Run(id, &b); err != nil {
+				t.Fatalf("shared %s at parallel %d: %v", id, parallel, err)
+			}
+			if !bytes.Equal(b.Bytes(), fresh[i]) {
+				t.Errorf("%s at parallel %d: shared-harness output differs from a fresh harness\n--- fresh ---\n%s\n--- shared ---\n%s",
+					id, parallel, fresh[i], b.Bytes())
+			}
+		}
+	}
+}

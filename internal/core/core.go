@@ -134,7 +134,7 @@ func (r *RightSizer) Size(d *kernels.Desc) int {
 	if r.db == nil {
 		return r.totalCUs
 	}
-	return r.db.MinCU(*d, r.totalCUs)
+	return r.db.MinCU(d, r.totalCUs)
 }
 
 // Ladder levels of the graceful-degradation ladder. A hardened runtime
@@ -428,7 +428,7 @@ func (rt *Runtime) submitAttempt(seq int, d *kernels.Desc, partition, attempt in
 				onDone()
 			}
 		})
-		rt.queue.Submit(hsa.Packet{
+		rt.queue.Submit(&hsa.Packet{
 			Type:         hsa.KernelDispatch,
 			Kernel:       d,
 			PartitionCUs: partition,
@@ -445,7 +445,7 @@ func (rt *Runtime) submitAttempt(seq int, d *kernels.Desc, partition, attempt in
 	if onDone != nil {
 		sig.OnDone(onDone)
 	}
-	rt.queue.Submit(hsa.Packet{
+	rt.queue.Submit(&hsa.Packet{
 		Type:         hsa.KernelDispatch,
 		Kernel:       d,
 		PartitionCUs: partition,

@@ -156,9 +156,8 @@ type Device struct {
 	// order, perturbed by swap-removal on completion). retime walks it on
 	// every launch and completion, so it must iterate like an array, not a
 	// map — and slice order is deterministic, where map order is not.
-	running  []*Exec
-	counters []int // per-CU count of kernels whose mask includes the CU (Resource Monitor)
-	busy     int   // CUs with at least one kernel assigned, maintained incrementally
+	running []*Exec
+	occ     Planes // Resource Monitor: per-CU kernel counters as bit planes
 	// healthy tracks the CUs still alive; allHealthy short-circuits the
 	// per-launch health intersection while no CU has been killed, so the
 	// fault-free path stays bit-identical to a device without the health
@@ -180,10 +179,6 @@ type Device struct {
 	memPressure float64
 	meter       Meter
 	nextID      uint64
-	// gen is the occupancy generation: it advances whenever the per-CU
-	// kernel counters change, so mask caches keyed on it can prove an
-	// occupancy state unchanged without comparing counter arrays.
-	gen uint64
 	// execFree recycles completed Exec objects so steady-state launches
 	// allocate nothing.
 	execFree []*Exec
@@ -222,7 +217,6 @@ func NewDevice(eng *sim.Engine, spec DeviceSpec, meter Meter) *Device {
 	return &Device{
 		Spec:       spec,
 		eng:        eng,
-		counters:   make([]int, spec.Topo.TotalCUs()),
 		pressure:   make([]float64, spec.Topo.TotalCUs()),
 		healthy:    FullMask(spec.Topo),
 		allHealthy: true,
@@ -351,77 +345,57 @@ func (d *Device) SetCUDegrade(cu int, stretch float64) {
 // KernelCount returns the number of kernels currently assigned to CU cu —
 // the per-CU kernel counter KRISP's Resource Monitor exposes to the
 // allocator (Algorithm 1's CU_Kernel_Counters).
-func (d *Device) KernelCount(cu int) int { return d.counters[cu] }
+func (d *Device) KernelCount(cu int) int { return d.occ.Load(CUMask{}.Set(cu)) }
 
 // Counters returns a copy of all per-CU kernel counters.
 func (d *Device) Counters() []int {
-	out := make([]int, len(d.counters))
-	copy(out, d.counters)
+	out := make([]int, d.Spec.Topo.TotalCUs())
+	for cu := range out {
+		out[cu] = d.KernelCount(cu)
+	}
 	return out
 }
 
-// CountersView returns the live per-CU kernel counters without copying —
-// the zero-allocation Resource Monitor read the dispatch fast path uses.
-// The slice is owned by the device: callers must not mutate it or hold it
-// across simulation events (use OccupancyGen to detect staleness).
-func (d *Device) CountersView() []int { return d.counters }
-
-// OccupancyGen returns the occupancy generation counter; it changes
-// whenever any per-CU kernel counter changes.
-func (d *Device) OccupancyGen() uint64 { return d.gen }
+// Planes returns the live Resource Monitor planes without copying, for the
+// dispatch fast path. The device owns them: callers must not hold them
+// across simulation events.
+func (d *Device) Planes() *Planes { return &d.occ }
 
 // Running returns the number of kernels currently executing.
 func (d *Device) Running() int { return len(d.running) }
 
 // BusyCUs returns the number of CUs with at least one kernel assigned.
-func (d *Device) BusyCUs() int { return d.busy }
+func (d *Device) BusyCUs() int { return d.occ.Busy() }
 
-// chargeExec adds one execution's footprint — kernel counter and compute
-// pressure — to every CU enabled in m, iterating set bits directly so the
-// per-launch bookkeeping allocates nothing.
+// chargeExec adds one execution's footprint to every CU of m, allocating
+// nothing: one plane add for the counters, a set-bit walk for pressure.
 func (d *Device) chargeExec(m CUMask, pressure float64) {
-	d.gen++
+	d.occ.add(m)
 	for w := m.lo; w != 0; w &= w - 1 {
-		d.chargeCU(bits.TrailingZeros64(w), pressure)
+		d.pressure[bits.TrailingZeros64(w)] += pressure
 	}
 	for w := m.hi; w != 0; w &= w - 1 {
-		d.chargeCU(64+bits.TrailingZeros64(w), pressure)
+		d.pressure[64+bits.TrailingZeros64(w)] += pressure
 	}
 	d.publishOccupancy()
-}
-
-func (d *Device) chargeCU(cu int, pressure float64) {
-	if d.counters[cu] == 0 {
-		d.busy++
-	}
-	d.counters[cu]++
-	d.pressure[cu] += pressure
 }
 
 // releaseExec undoes chargeExec for a finished or re-masked execution.
 func (d *Device) releaseExec(m CUMask, pressure float64) {
-	d.gen++
+	d.occ.sub(m)
 	for w := m.lo; w != 0; w &= w - 1 {
-		d.releaseCU(bits.TrailingZeros64(w), pressure)
+		p := &d.pressure[bits.TrailingZeros64(w)]
+		if *p -= pressure; *p < 0 {
+			*p = 0
+		}
 	}
 	for w := m.hi; w != 0; w &= w - 1 {
-		d.releaseCU(64+bits.TrailingZeros64(w), pressure)
+		p := &d.pressure[64+bits.TrailingZeros64(w)]
+		if *p -= pressure; *p < 0 {
+			*p = 0
+		}
 	}
 	d.publishOccupancy()
-}
-
-func (d *Device) releaseCU(cu int, pressure float64) {
-	d.counters[cu]--
-	if d.counters[cu] < 0 {
-		panic("gpu: per-CU kernel counter went negative")
-	}
-	if d.counters[cu] == 0 {
-		d.busy--
-	}
-	d.pressure[cu] -= pressure
-	if d.pressure[cu] < 0 {
-		d.pressure[cu] = 0
-	}
 }
 
 // AvgBusyCUs returns the time-weighted average number of busy CUs since the
@@ -445,10 +419,9 @@ func (d *Device) ResetUtilization() {
 // Reset returns the device to its just-constructed state for engine reuse:
 // in-flight executions are detached and recycled (their completion events
 // died with the engine's reset), occupancy and pressure state zeroed, and
-// CU health restored. The occupancy generation and exec id counters stay
-// monotonic — caches keyed on gen can never confuse a pre-reset state with
-// a post-reset one, and nothing observes their absolute values — which is
-// what lets the exec free list and mask caches survive across runs.
+// CU health restored. The exec id counter stays monotonic — nothing
+// observes its absolute value — and the exec free list survives, so a
+// reused device allocates nothing across runs.
 func (d *Device) Reset() {
 	for _, x := range d.running {
 		x.onDone = nil
@@ -458,17 +431,13 @@ func (d *Device) Reset() {
 		d.execFree = append(d.execFree, x)
 	}
 	d.running = d.running[:0]
-	for i := range d.counters {
-		d.counters[i] = 0
-		d.pressure[i] = 0
-		d.degrade[i] = 0
-	}
-	d.busy = 0
+	clear(d.pressure)
+	clear(d.degrade)
+	d.occ = Planes{}
 	d.numDegraded = 0
 	d.memPressure = 0
 	d.healthy = FullMask(d.Spec.Topo)
 	d.allHealthy = true
-	d.gen++
 	d.busyIntegral = 0
 	d.lastBusyAt = 0
 	d.lastBusyCUs = 0

@@ -296,31 +296,71 @@ func TestDeviceCounterConservationProperty(t *testing.T) {
 	}
 }
 
-// TestOccupancyGenTracksCounters pins the mask-cache invalidation
-// contract: the occupancy generation advances whenever the per-CU kernel
-// counters change (launch and completion), never between, and
-// CountersView aliases the live counters.
-func TestOccupancyGenTracksCounters(t *testing.T) {
-	eng := sim.New()
-	d := NewDevice(eng, MI50Spec(), nil)
-	view := d.CountersView()
-	g0 := d.OccupancyGen()
-	d.Launch(KernelWork{Workgroups: 60, ThreadsPerWG: 256, WGTime: 10, Tail: 0.5}, RangeMask(MI50, 0, 15), nil)
-	g1 := d.OccupancyGen()
-	if g1 == g0 {
-		t.Fatal("launch did not advance the occupancy generation")
+// TestPlanesTrackRunningKernels drives devices through random launches,
+// completions and CU kills and checks the bit-plane Resource Monitor after
+// every event against a count of the running kernels: each CU's counter is
+// the number of running kernels whose (current) mask holds it, BusyCUs the
+// number of CUs with a non-zero counter, and the live Planes view agrees.
+// An over-release must still panic.
+func TestPlanesTrackRunningKernels(t *testing.T) {
+	for _, spec := range []DeviceSpec{MI50Spec(), MI100Spec()} {
+		rng := rand.New(rand.NewSource(int64(spec.Topo.TotalCUs())))
+		eng := sim.New()
+		d := NewDevice(eng, spec, nil)
+		total := spec.Topo.TotalCUs()
+		running := map[int]*Exec{}
+		check := func(event string) {
+			t.Helper()
+			if d.Running() != len(running) {
+				t.Fatalf("%s: device runs %d kernels, want %d", event, d.Running(), len(running))
+			}
+			busy := 0
+			for cu := 0; cu < total; cu++ {
+				want := 0
+				for _, x := range running {
+					if x.Mask().Has(cu) {
+						want++
+					}
+				}
+				if want > 0 {
+					busy++
+				}
+				if got := d.KernelCount(cu); got != want {
+					t.Fatalf("%s: CU %d counter = %d, want %d", event, cu, got, want)
+				}
+				if got := d.Planes().Occupied().Has(cu); got != (want > 0) {
+					t.Fatalf("%s: CU %d occupied = %v with %d kernels", event, cu, got, want)
+				}
+			}
+			if d.BusyCUs() != busy {
+				t.Fatalf("%s: BusyCUs = %d, want %d", event, d.BusyCUs(), busy)
+			}
+		}
+		for i := 0; i < 2000; i++ {
+			switch r := rng.Intn(10); {
+			case r < 5 || len(running) == 0:
+				key := i
+				running[key] = d.Launch(computeKernel(1+rng.Intn(2000)), randomRetimeMask(rng, spec.Topo),
+					func() { delete(running, key) })
+				check("launch")
+			case r < 9:
+				eng.Step()
+				check("complete")
+			default:
+				d.KillCU(rng.Intn(total))
+				check("kill")
+			}
+		}
+		eng.Run()
+		check("drain")
 	}
-	if view[0] != 1 || view[15] != 0 {
-		t.Fatalf("CountersView not live: view[0]=%d view[15]=%d", view[0], view[15])
-	}
-	if got := d.OccupancyGen(); got != g1 {
-		t.Fatalf("generation moved without a counter change: %d -> %d", g1, got)
-	}
-	eng.Run()
-	if d.OccupancyGen() == g1 {
-		t.Fatal("completion did not advance the occupancy generation")
-	}
-	if d.BusyCUs() != 0 || view[0] != 0 {
-		t.Fatalf("device not idle after drain: busy=%d view[0]=%d", d.BusyCUs(), view[0])
-	}
+
+	_, d := newTestDevice()
+	d.Launch(computeKernel(60), RangeMask(MI50, 0, 15), nil)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("releasing a CU with no kernels did not panic")
+		}
+	}()
+	d.releaseExec(RangeMask(MI50, 10, 10), 0)
 }

@@ -62,6 +62,19 @@ func (m CUMask) Or(o CUMask) CUMask { return CUMask{m.lo | o.lo, m.hi | o.hi} }
 // AndNot returns the CUs in m that are not in o.
 func (m CUMask) AndNot(o CUMask) CUMask { return CUMask{m.lo &^ o.lo, m.hi &^ o.hi} }
 
+// Lowest returns the k lowest-numbered CUs of m (all of m if it has no
+// more than k).
+func (m CUMask) Lowest(k int) CUMask {
+	rest := m
+	for ; k > 0 && rest.lo != 0; k-- {
+		rest.lo &= rest.lo - 1
+	}
+	for ; k > 0 && rest.hi != 0; k-- {
+		rest.hi &= rest.hi - 1
+	}
+	return m.AndNot(rest)
+}
+
 // Equal reports whether two masks enable the same CUs.
 func (m CUMask) Equal(o CUMask) bool { return m.lo == o.lo && m.hi == o.hi }
 

@@ -72,20 +72,13 @@ func (d *Device) publishOccupancy() {
 	if t == nil {
 		return
 	}
-	t.BusyCUs.Set(int64(d.busy))
+	t.BusyCUs.Set(int64(d.occ.Busy()))
 	if t.tracer == nil {
 		return
 	}
-	topo := d.Spec.Topo
-	for se := 0; se < topo.NumSEs; se++ {
-		n := 0
-		base := se * topo.CUsPerSE
-		for c := 0; c < topo.CUsPerSE; c++ {
-			if d.counters[base+c] > 0 {
-				n++
-			}
-		}
-		t.seVals[se] = float64(n)
+	occupied := d.occ.Occupied()
+	for se := range t.seVals {
+		t.seVals[se] = float64(occupied.CountInSE(d.Spec.Topo, se))
 	}
 	t.tracer.CounterEvent(t.ctrName, t.pid, d.eng.Now(), t.seKeys, t.seVals)
 }

@@ -175,7 +175,7 @@ func TestTransientKernelFailureRoutesToOnFault(t *testing.T) {
 
 	sig := NewSignal(1)
 	faulted := false
-	q.Submit(Packet{
+	q.Submit(&Packet{
 		Type:       KernelDispatch,
 		Kernel:     oneWave(),
 		Completion: sig,
@@ -237,7 +237,7 @@ func TestDispatchRemasksAroundDeadCUs(t *testing.T) {
 		dev.KillCU(cu)
 	}
 	var granted gpu.CUMask
-	q.Submit(Packet{
+	q.Submit(&Packet{
 		Type:       KernelDispatch,
 		Kernel:     oneWave(),
 		Completion: NewSignal(1),

@@ -229,8 +229,8 @@ type CommandProcessor struct {
 	eng *sim.Engine
 	dev *gpu.Device
 
-	// masks caches Algorithm 1 output against the device's occupancy
-	// generation (the dispatch fast path).
+	// masks runs Algorithm 1 on the device's Resource Monitor planes,
+	// memoizing idle-device requests (the dispatch fast path).
 	masks *alloc.MaskCache
 
 	// sigFree recycles completion signals leased through GetSignal /
@@ -320,7 +320,7 @@ func (cp *CommandProcessor) MaskCache() *alloc.MaskCache { return cp.masks }
 // path the packet processor uses for kernel-scoped dispatches, exposed for
 // the runtime's emulated enforcement (Fig. 11b).
 func (cp *CommandProcessor) GenerateKernelMask(req alloc.Request) gpu.CUMask {
-	return cp.masks.Generate(cp.dev, req)
+	return cp.masks.Generate(cp.dev.Planes(), req)
 }
 
 // GetSignal leases a completion signal from the processor's free list
@@ -385,18 +385,18 @@ type Queue struct {
 	cp   *CommandProcessor
 	mask gpu.CUMask
 
-	// packets[head:] are the waiting packets; the head index advances on
-	// consumption (and both reset once the queue drains) so the steady
+	// packets[head:] are the waiting packets, built in place in their
+	// slots; the head index advances on consumption. The packet mid-flight
+	// (from consumption until its kernel completes or its barrier fires)
+	// stays in its slot, packets[head-1]: the queue serializes packets, so
+	// exactly one can be in flight, and the pre-bound hooks below read it
+	// there instead of from a copy or a per-packet closure. Both reset once
+	// the in-flight packet retires with nothing waiting, so the steady
 	// state re-uses one backing array instead of re-slicing it away.
 	packets []Packet
 	head    int
 	busy    bool // a packet from this queue is being processed or executing
 
-	// cur is the packet currently mid-flight (from consumption until its
-	// kernel completes or its barrier fires). The queue serializes
-	// packets, so exactly one can be in flight — which lets the pre-bound
-	// hooks below read it from the queue instead of a per-packet closure.
-	cur             Packet
 	curKernelScoped bool
 	curFaulted      bool
 	barrierWaits    int
@@ -462,10 +462,10 @@ func (q *Queue) Quiescent() bool {
 // pre-bound dispatch hooks.
 func (q *Queue) reset() {
 	q.mask = gpu.FullMask(q.cp.dev.Spec.Topo)
+	clear(q.packets)
 	q.packets = q.packets[:0]
 	q.head = 0
 	q.busy = false
-	q.cur = Packet{}
 	q.curKernelScoped = false
 	q.curFaulted = false
 	q.barrierWaits = 0
@@ -499,9 +499,8 @@ func (cp *CommandProcessor) ReleaseQueue(q *Queue) {
 // reuse against a reset engine and device. Every live queue is force-reset
 // (the engine reset already dropped any events referencing it) and parked
 // on the free list in creation order, so a rerun's NewQueue calls get the
-// same queues back with the same IDs. The mask cache survives: its idle
-// side is a pure function of topology, and its busy side is keyed on the
-// device occupancy generation, which Device.Reset advances.
+// same queues back with the same IDs. The mask cache survives: it holds
+// only idle-device masks, a pure function of topology.
 func (cp *CommandProcessor) Reset() {
 	for i := len(cp.queues) - 1; i >= 0; i-- {
 		q := cp.queues[i]
@@ -625,13 +624,42 @@ func (q *Queue) ResetStall() bool {
 	return true
 }
 
-// Submit enqueues a packet and rings the doorbell.
-func (q *Queue) Submit(p Packet) {
-	p.enqueuedAt = q.cp.eng.Now()
+// Submit copies a packet into the queue's next slot and rings the
+// doorbell. p is not retained.
+func (q *Queue) Submit(p *Packet) {
+	q.compact()
+	q.packets = append(q.packets, *p)
+	q.doorbell()
+}
+
+// slot reserves the queue's next packet slot — the AQL write index — and
+// returns it zeroed, for a packet to be built in place. The pointer is
+// valid until the next slot reservation.
+func (q *Queue) slot() *Packet {
+	q.compact()
+	q.packets = append(q.packets, Packet{})
+	return &q.packets[len(q.packets)-1]
+}
+
+// compact moves the live slots (from the in-flight one on) to the front of
+// a full backing array, so a queue that never drains reuses the array
+// instead of growing it.
+func (q *Queue) compact() {
+	if len(q.packets) == cap(q.packets) && q.head > 1 {
+		n := copy(q.packets, q.packets[q.head-1:])
+		clear(q.packets[n:])
+		q.packets = q.packets[:n]
+		q.head = 1
+	}
+}
+
+// doorbell stamps the packet just built in the last slot and lets the
+// packet processor consume it.
+func (q *Queue) doorbell() {
+	q.packets[len(q.packets)-1].enqueuedAt = q.cp.eng.Now()
 	if t := q.cp.tel; t != nil {
 		t.QueueDepth.Add(1)
 	}
-	q.packets = append(q.packets, p)
 	q.pump()
 }
 
@@ -652,30 +680,37 @@ func (q *Queue) submitKernel(d *kernels.Desc, cus, limit int, onDone func()) {
 	if onDone != nil {
 		sig.OnDone(onDone)
 	}
-	q.Submit(Packet{
-		Type:         KernelDispatch,
-		Kernel:       d,
-		PartitionCUs: cus,
-		OverlapLimit: limit,
-		Completion:   sig,
-	})
+	p := q.slot()
+	p.Type, p.Kernel, p.PartitionCUs, p.OverlapLimit, p.Completion = KernelDispatch, d, cus, limit, sig
+	q.doorbell()
 }
 
 // SubmitBarrier enqueues a barrier-AND packet. callback runs when the
 // barrier is consumed (after deps complete); completion, if non-nil, is
 // completed at the same point.
 func (q *Queue) SubmitBarrier(deps []*Signal, callback func(), completion *Signal) {
-	q.Submit(Packet{
-		Type:       BarrierAND,
-		DepSignals: deps,
-		Callback:   callback,
-		Completion: completion,
-	})
+	p := q.slot()
+	p.Type, p.DepSignals, p.Callback, p.Completion = BarrierAND, deps, callback, completion
+	q.doorbell()
 }
 
 // Pending returns the number of packets waiting in the queue (not counting
 // one currently being processed).
 func (q *Queue) Pending() int { return len(q.packets) - q.head }
+
+// cur returns the in-flight packet in its slot. The pointer must not be
+// held across a slot reservation.
+func (q *Queue) cur() *Packet { return &q.packets[q.head-1] }
+
+// release frees the in-flight packet's slot and its references once its
+// fields have been read; the queue stays busy until the caller pumps.
+func (q *Queue) release() {
+	q.packets[q.head-1] = Packet{}
+	if q.head == len(q.packets) {
+		q.packets = q.packets[:0]
+		q.head = 0
+	}
+}
 
 // pump consumes the next packet if the queue is idle and not stalled.
 func (q *Queue) pump() {
@@ -686,18 +721,12 @@ func (q *Queue) pump() {
 		return // the stall's resume event re-pumps
 	}
 	q.busy = true
-	q.cur = q.packets[q.head]
-	q.packets[q.head] = Packet{} // release the slot's references
 	q.head++
 	if t := q.cp.tel; t != nil {
 		t.QueueDepth.Add(-1)
 		q.curConsumedAt = q.cp.eng.Now()
 	}
-	if q.head == len(q.packets) {
-		q.packets = q.packets[:0]
-		q.head = 0
-	}
-	switch q.cur.Type {
+	switch q.cur().Type {
 	case KernelDispatch:
 		q.processKernel()
 	case BarrierAND:
@@ -707,12 +736,12 @@ func (q *Queue) pump() {
 	}
 }
 
-// processKernel pays the packet-processing cost, then hands q.cur to the
+// processKernel pays the packet-processing cost, then hands q.cur() to the
 // device via the pre-bound dispatch hook.
 func (q *Queue) processKernel() {
 	cp := q.cp
 	cost := cp.cfg.PacketProcessTime
-	q.curKernelScoped = cp.cfg.KernelScoped && q.cur.PartitionCUs > 0
+	q.curKernelScoped = cp.cfg.KernelScoped && q.cur().PartitionCUs > 0
 	if q.curKernelScoped {
 		cost += cp.cfg.MaskAllocTime
 	}
@@ -722,7 +751,7 @@ func (q *Queue) processKernel() {
 // dispatchCur launches the in-flight kernel packet on the device.
 func (q *Queue) dispatchCur() {
 	cp := q.cp
-	p := &q.cur
+	p := q.cur()
 	mask := q.mask
 	if q.curKernelScoped {
 		// KRISP packet processor: generate the kernel resource mask
@@ -732,7 +761,7 @@ func (q *Queue) dispatchCur() {
 		if cp.cfg.NoFairShare {
 			minGrant = 0
 		}
-		mask = cp.masks.Generate(cp.dev, alloc.Request{
+		mask = cp.masks.Generate(cp.dev.Planes(), alloc.Request{
 			NumCUs:       p.PartitionCUs,
 			OverlapLimit: p.OverlapLimit,
 			Policy:       cp.cfg.AllocPolicy,
@@ -785,13 +814,13 @@ func (q *Queue) dispatchCur() {
 func (q *Queue) kernelDone() {
 	if t := q.cp.tel; t != nil {
 		if tr := t.tracer; tr != nil {
-			tr.Span("kernel", q.cur.Kernel.Name, t.pid, q.ID, q.curDispatchedAt, q.cp.eng.Now())
+			tr.Span("kernel", q.cur().Kernel.Name, t.pid, q.ID, q.curDispatchedAt, q.cp.eng.Now())
 		}
 	}
-	onFault := q.cur.OnFault
-	completion := q.cur.Completion
+	p := q.cur()
+	onFault, completion := p.OnFault, p.Completion
+	q.release()
 	faulted := q.curFaulted
-	q.cur = Packet{}
 	q.curFaulted = false
 	if faulted && onFault != nil {
 		onFault()
@@ -811,7 +840,7 @@ func (q *Queue) processBarrier() {
 // barrierReady counts the in-flight barrier's outstanding dependencies and
 // either fires it or parks the pre-bound dep hook on each pending signal.
 func (q *Queue) barrierReady() {
-	deps := q.cur.DepSignals
+	deps := q.cur().DepSignals
 	q.barrierWaits = 0
 	for _, s := range deps {
 		if !s.Done() {
@@ -845,9 +874,9 @@ func (q *Queue) finishBarrier() {
 			tr.Span("hsa", "barrier", t.pid, q.ID, q.curConsumedAt, q.cp.eng.Now())
 		}
 	}
-	callback := q.cur.Callback
-	completion := q.cur.Completion
-	q.cur = Packet{}
+	p := q.cur()
+	callback, completion := p.Callback, p.Completion
+	q.release()
 	if callback != nil {
 		callback()
 	}

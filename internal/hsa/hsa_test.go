@@ -162,7 +162,7 @@ func TestBarrierWaitsForDeps(t *testing.T) {
 	eng, _, cp := newStack(false)
 	q1, q2 := cp.NewQueue(), cp.NewQueue()
 	kernelSig := NewSignal(1)
-	q1.Submit(Packet{Type: KernelDispatch, Kernel: oneWave(), Completion: kernelSig})
+	q1.Submit(&Packet{Type: KernelDispatch, Kernel: oneWave(), Completion: kernelSig})
 	var barrierAt, kernelAt sim.Time
 	kernelSig.OnDone(func() { kernelAt = eng.Now() })
 	q2.SubmitBarrier([]*Signal{kernelSig}, func() { barrierAt = eng.Now() }, nil)
@@ -260,5 +260,46 @@ func TestMaskAllocTimeCharged(t *testing.T) {
 
 	if d := scopedDone - plainDone; d != 1 {
 		t.Errorf("kernel-scoped extra cost = %v, want 1 (MaskAllocTime)", d)
+	}
+}
+
+// TestQueueNeverDrainingReusesSlots keeps one packet waiting behind the
+// in-flight one at every retirement, so the queue never drains: packets
+// must still run in FIFO order, the in-flight packet must be read from
+// its slot intact, and the backing array must stay small instead of
+// growing with the number of packets.
+func TestQueueNeverDrainingReusesSlots(t *testing.T) {
+	eng, _, cp := newStack(false)
+	q := cp.NewQueue()
+	const total = 1000
+	var order []int
+	submitted := 0
+	var submit func()
+	submit = func() {
+		n := submitted
+		submitted++
+		q.SubmitKernel(oneWave(), func() {
+			order = append(order, n)
+			if submitted < total {
+				submit()
+			}
+		})
+	}
+	submit()
+	submit()
+	eng.Run()
+	if len(order) != total {
+		t.Fatalf("%d of %d packets completed", len(order), total)
+	}
+	for i, n := range order {
+		if n != i {
+			t.Fatalf("completion %d ran packet %d: FIFO order broken", i, n)
+		}
+	}
+	if c := cap(q.packets); c > 8 {
+		t.Errorf("backing array grew to %d slots for a queue at most 2 deep", c)
+	}
+	if q.Pending() != 0 || !q.Quiescent() {
+		t.Errorf("queue not quiescent after drain: pending %d", q.Pending())
 	}
 }

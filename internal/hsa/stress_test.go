@@ -39,7 +39,7 @@ func TestQueueStressProperty(t *testing.T) {
 				sig := NewSignal(1)
 				sig.OnDone(func() { completed++ })
 				signals = append(signals, sig)
-				q.Submit(Packet{
+				q.Submit(&Packet{
 					Type:         KernelDispatch,
 					Kernel:       &d,
 					PartitionCUs: 1 + rng.Intn(60),
@@ -146,7 +146,7 @@ func TestDispatchReportsGrantedMask(t *testing.T) {
 	cp := NewCommandProcessor(eng, dev, cfg)
 	q := cp.NewQueue()
 	var granted gpu.CUMask
-	q.Submit(Packet{
+	q.Submit(&Packet{
 		Type:         KernelDispatch,
 		Kernel:       oneWave(),
 		PartitionCUs: 12,

@@ -67,7 +67,7 @@ func New(cfg Config) *Profiler {
 	// (and throw away) an Allocator's scratch slices per partition size.
 	a := alloc.NewAllocator(cfg.Spec.Topo)
 	for n := 1; n <= total; n++ {
-		p.maskCache[n] = a.Generate(nil, alloc.Request{
+		p.maskCache[n] = a.Generate(&gpu.Planes{}, alloc.Request{
 			NumCUs:       n,
 			OverlapLimit: alloc.NoOverlapLimit,
 		})
@@ -213,7 +213,7 @@ func (db *DB) Lookup(key string) (Entry, bool) {
 // MinCU returns the profiled minimum CUs for a kernel, or the full device
 // if the kernel was never profiled — the conservative fallback the paper's
 // runtime applies to unknown kernels.
-func (db *DB) MinCU(d kernels.Desc, totalCUs int) int {
+func (db *DB) MinCU(d *kernels.Desc, totalCUs int) int {
 	v := variant{name: d.Name, workgroups: d.Work.Workgroups, threadsPerWG: d.Work.ThreadsPerWG}
 	if cu, ok := db.minCUs[v]; ok {
 		return cu

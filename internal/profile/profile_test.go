@@ -135,13 +135,13 @@ func TestDBProfileAndLookup(t *testing.T) {
 		if e.FullLatency <= 0 {
 			t.Errorf("%s: non-positive latency", d.Key())
 		}
-		if got := db.MinCU(d, 60); got != e.MinCU {
+		if got := db.MinCU(&d, 60); got != e.MinCU {
 			t.Errorf("MinCU(%s) = %d, want %d", d.Key(), got, e.MinCU)
 		}
 	}
 	// Unknown kernels fall back to the whole device.
 	unknown := kernels.SizedCompute("never-profiled", 5, 10, 1, 1)
-	if got := db.MinCU(unknown, 60); got != 60 {
+	if got := db.MinCU(&unknown, 60); got != 60 {
 		t.Errorf("unknown kernel MinCU = %d, want 60", got)
 	}
 }

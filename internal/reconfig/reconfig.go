@@ -216,7 +216,7 @@ func (r *runner) launchKernel(i int) {
 	if r.scheme == KernelScoped {
 		partition = r.curSize
 	}
-	r.q.Submit(hsa.Packet{
+	r.q.Submit(&hsa.Packet{
 		Type:         hsa.KernelDispatch,
 		Kernel:       d,
 		PartitionCUs: partition,

@@ -99,7 +99,7 @@ func TestBuildDBCoversAllWorkers(t *testing.T) {
 		t.Fatal("empty database")
 	}
 	for _, d := range a.Kernels(32) {
-		if got := db.MinCU(d, 60); got == 60 && d.Work.Workgroups < 600 {
+		if got := db.MinCU(&d, 60); got == 60 && d.Work.Workgroups < 600 {
 			// 60 is also the unprofiled fallback — a small kernel
 			// reporting 60 means profiling missed it.
 			t.Fatalf("kernel %s appears unprofiled (minCU=60, %d WGs)", d.Key(), d.Work.Workgroups)

@@ -3,6 +3,8 @@ package telemetry
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"runtime"
 	"testing"
 )
 
@@ -116,5 +118,83 @@ func TestCounterEventSeriesClamped(t *testing.T) {
 	ev := tr.Events()[0]
 	if ev.NCtr != maxCtrSeries {
 		t.Errorf("NCtr = %d, want %d", ev.NCtr, maxCtrSeries)
+	}
+}
+
+// TestTracerEventsRoundTrip records enough mixed events to span several
+// record chunks, with counter samples of varying width (so some value
+// chunks end with an unused remainder) under alternating key sets, and
+// checks Events returns exactly what was recorded.
+func TestTracerEventsRoundTrip(t *testing.T) {
+	tr := NewTracer()
+	keySets := [][]string{{"se0", "se1", "se2", "se3"}, {"a", "b", "c"}}
+	var want []Event
+	for i := 0; i < 3*recChunk+17; i++ {
+		ts := float64(i)
+		switch i % 4 {
+		case 0:
+			name := fmt.Sprintf("k%d", i%13)
+			tr.Span("kernel", name, i%3, i%5, ts, ts+2)
+			want = append(want, Event{Ph: 'X', Cat: "kernel", Name: name, Pid: i % 3, Tid: i % 5, Ts: ts, Dur: 2})
+		case 1:
+			tr.SpanArg("hsa", "packet_process", 1, 2, ts, ts+1, "queue", float64(i))
+			want = append(want, Event{Ph: 'X', Cat: "hsa", Name: "packet_process", Pid: 1, Tid: 2, Ts: ts, Dur: 1,
+				ArgKey: "queue", ArgVal: float64(i)})
+		case 2:
+			tr.Instant("core", "rightsize", 0, 1, ts, "", 0)
+			want = append(want, Event{Ph: 'i', Cat: "core", Name: "rightsize", Tid: 1, Ts: ts})
+		case 3:
+			keys := keySets[(i/4)%2]
+			vals := make([]float64, len(keys))
+			e := Event{Ph: 'C', Name: "se_occupancy", Pid: 4, Ts: ts, NCtr: len(keys)}
+			for j := range vals {
+				vals[j] = float64(i*10 + j)
+				e.CtrKeys[j], e.CtrVals[j] = keys[j], vals[j]
+			}
+			tr.CounterEvent("se_occupancy", 4, ts, keys, vals)
+			want = append(want, e)
+		}
+	}
+	got := tr.Events()
+	if len(got) != len(want) || tr.Len() != len(want) {
+		t.Fatalf("Events len %d, Len %d, want %d", len(got), tr.Len(), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("event %d = %+v, want %+v", i, got[i], want[i])
+		}
+	}
+}
+
+// TestTracerFootprint bounds the retained heap per event: a traced
+// table4 quick run records ~7.5M events, so the per-event cost decides
+// whether traced experiment runs fit in memory.
+func TestTracerFootprint(t *testing.T) {
+	const spans, counters = 200_000, 100_000
+	keys := []string{"se0", "se1", "se2", "se3"}
+	vals := make([]float64, len(keys))
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	tr := NewTracer()
+	for i := 0; i < spans; i++ {
+		tr.Span("kernel", "gemm", 0, i%4, float64(i), float64(i+1))
+	}
+	for i := 0; i < counters; i++ {
+		vals[i%len(vals)] = float64(i)
+		tr.CounterEvent("se_occupancy", 0, float64(i), keys, vals)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(tr)
+
+	perEvent := float64(after.HeapAlloc-before.HeapAlloc) / (spans + counters)
+	t.Logf("%.1f B per event", perEvent)
+	// 64 B per record plus 32 B of values per 4-series counter sample
+	// averages ~75 B; an inline-array event was ~300 B.
+	const ceiling = 96
+	if perEvent > ceiling {
+		t.Errorf("tracer retains %.1f B per event, ceiling %d B", perEvent, ceiling)
 	}
 }
