@@ -74,7 +74,6 @@ func main() {
 		tickUs     = flag.Int("tick-us", 2000, "router control interval (virtual us)")
 		seed       = flag.Int64("seed", 42, "seed for arrivals, jitter, and p2c sampling")
 		par        = flag.Int("parallel", 0, "node-advancement workers (0 = GOMAXPROCS, 1 = serial; results identical)")
-		schedName  = flag.String("sched", "lookahead", "advancement scheduler: lookahead|lockstep (results identical)")
 		headroom   = flag.Float64("headroom", 1.2, "autoscaler overprovisioning factor")
 		degrade    = flag.String("degrade", "", "inject a slow GPU: node:gpu:stretch (e.g. 1:0:3.0)")
 		down       = flag.String("down", "", "crash a node: node:at_ms[:dur_ms] (no duration = stays down)")
@@ -196,12 +195,6 @@ func main() {
 		costs = reconfig.DefaultCosts()
 	}
 
-	sched, err := cluster.SchedByName(*schedName)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-
 	cfg := cluster.Config{
 		Nodes:       *nodes,
 		GPUsPerNode: *gpus,
@@ -211,7 +204,6 @@ func main() {
 		Duration:    sim.Duration(*durationMs) * sim.Millisecond,
 		Seed:        *seed,
 		Parallel:    *par,
-		Sched:       sched,
 		Headroom:    *headroom,
 		NodeFaults:  nodeFaults,
 		Costs:       costs,

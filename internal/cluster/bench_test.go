@@ -69,24 +69,6 @@ func benchmarkFleet(b *testing.B, parallel int) {
 func BenchmarkFleetThroughputSerial(b *testing.B)   { benchmarkFleet(b, 1) }
 func BenchmarkFleetThroughputParallel(b *testing.B) { benchmarkFleet(b, 0) }
 
-// BenchmarkFleetThroughputLockstep is the same serial fleet on the
-// retained lockstep scheduler — the delta against Serial (now the
-// lookahead default) is what conservative lookahead buys at this scale.
-func BenchmarkFleetThroughputLockstep(b *testing.B) {
-	cfg := benchConfig(b, 1)
-	cfg.Sched = SchedLockstep
-	total := 0
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		total += Run(cfg).Routed
-	}
-	b.StopTimer()
-	if total == 0 {
-		b.Fatal("fleet routed nothing")
-	}
-	b.ReportMetric(float64(total)/b.Elapsed().Seconds(), "requests/s")
-}
-
 // scalingConfig holds per-node offered load constant while the fleet
 // grows, so the sweep measures scheduler scaling, not a shrinking
 // utilization.
@@ -117,27 +99,22 @@ func scalingConfig(b *testing.B, nodes int) Config {
 	}
 }
 
-// BenchmarkFleetScaling is the scheduler sweep: fleet sizes 4/16/64 under
-// the serial lockstep baseline, the parallel lockstep barrier, the
-// conservative-lookahead scheduler, and the event-horizon scheduler (the
-// default). All four produce identical results (see
+// BenchmarkFleetScaling is the scheduler sweep: fleet sizes 4/16/64,
+// each advanced serially (Parallel 1) and on the GOMAXPROCS worker pool
+// (Parallel 0). Both produce identical results (see
 // TestLookaheadLockstepMatrixIdentical); only wall time differs.
 func BenchmarkFleetScaling(b *testing.B) {
 	modes := []struct {
-		name  string
-		sched Sched
-		par   int
+		name string
+		par  int
 	}{
-		{"serial", SchedLockstep, 1},
-		{"lockstep", SchedLockstep, 0},
-		{"lookahead", SchedLookahead, 0},
-		{"event-horizon", SchedEventHorizon, 0},
+		{"serial", 1},
+		{"pooled", 0},
 	}
 	for _, nodes := range []int{4, 16, 64} {
 		for _, mode := range modes {
 			b.Run(fmt.Sprintf("nodes=%d/%s", nodes, mode.name), func(b *testing.B) {
 				cfg := scalingConfig(b, nodes)
-				cfg.Sched = mode.sched
 				cfg.Parallel = mode.par
 				total := 0
 				b.ResetTimer()

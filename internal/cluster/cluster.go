@@ -6,17 +6,17 @@
 // KRISP right-sizes kernels on one GPU; serving millions of users takes
 // many GPUs across many nodes, and the decisions that matter there are
 // which partition of which GPU serves each request (ParvaGPU's regime) and
-// when placements change. The fleet controller advances every node in
-// lockstep ticks: requests arrive from deterministic workload generators,
-// the router admits and places them, nodes simulate concurrently (each
-// owns its engine, so parallel advancement is byte-identical to serial),
-// and at epoch boundaries the autoscaler replans against the trace, paying
-// reconfig costs for migrations and draining replicas on injected node
-// faults.
+// when placements change. The fleet controller runs in fixed ticks:
+// requests arrive from deterministic workload generators, the router
+// admits them and posts each to its node's mailbox, a wake-time heap
+// advances just the nodes with work due inside the tick (concurrently —
+// each owns its engine, so parallel advancement is byte-identical to
+// serial), and at epoch boundaries the autoscaler replans against the
+// trace, paying reconfig costs for migrations and draining replicas on
+// injected node faults.
 package cluster
 
 import (
-	"context"
 	"fmt"
 	"sort"
 
@@ -75,7 +75,8 @@ type Config struct {
 	Tick sim.Duration
 	// Epoch is the autoscaler's replanning interval. Zero means 25 ticks.
 	Epoch sim.Duration
-	// Duration is total simulated fleet time. Zero means 6 epochs.
+	// Duration is total simulated fleet time, rounded down to whole ticks
+	// (at least one). Zero means 6 epochs.
 	Duration sim.Duration
 	// Seed drives every random draw (arrivals, jitter, p2c sampling).
 	Seed int64
@@ -84,12 +85,6 @@ type Config struct {
 	// way — each node owns its engine and RNGs, and the router only sees
 	// completions pulled at tick boundaries.
 	Parallel int
-	// Sched selects the advancement scheduler. The zero value is
-	// SchedLookahead: nodes advance only when they can act before the tick
-	// horizon, with cross-node effects carried by timestamped mailboxes.
-	// SchedLockstep keeps the per-tick barrier over every up node. Both
-	// produce byte-identical results at any Parallel setting.
-	Sched Sched
 	// Telemetry, when non-nil, exposes fleet gauges and counters (and the
 	// per-node serving stacks) on the hub's registry.
 	Telemetry *telemetry.Hub
@@ -217,19 +212,17 @@ type fleetNode struct {
 	downUntil sim.Time // <0: down for good
 	handles   []*replicaHandle
 
-	// Event-horizon scheduler state: the node's position and key in the
-	// fleet's wake heap (heapIdx -1 when out — down, or mid-advancement),
-	// and the heap itself so mail posts can lower the key in place. hz is
-	// nil under the other schedulers.
+	// The node's key and position in the fleet's wake heap (heapIdx -1
+	// when out — down, or mid-advancement).
 	wake    sim.Time
 	heapIdx int
-	hz      *wakeHeap
 }
 
 // Fleet is a configured cluster experiment. Build with New, execute with
 // Run.
 type Fleet struct {
 	cfg     Config
+	ticks   int // run length in router ticks; cfg.Duration is ticks * Tick
 	planner *sched.Planner
 	nodes   []*fleetNode
 	router  *router
@@ -259,19 +252,19 @@ type Fleet struct {
 	killedBuf   []*replicaHandle
 
 	// now is the router-phase clock (the current tick's start), the lower
-	// bound lookahead sends clamp their delivery timestamps to; pool and
-	// activeBuf are the lookahead/event-horizon schedulers' persistent
-	// workers and per-tick active-node scratch.
+	// bound every send clamps its delivery timestamp to; hz is the wake
+	// heap over up nodes, pool and activeBuf settle's persistent workers
+	// and per-tick active-node scratch.
 	now       sim.Time
+	hz        wakeHeap
 	pool      *parallel.Pool
 	activeBuf []*fleetNode
 	mergeIdx  []int // k-way arrival-merge cursors, reused across ticks
 
-	// hz and dirty belong to the event-horizon scheduler: the wake heap
-	// over up nodes, and whether any node advanced since the last
-	// completion pull (the condition that forces a full router phase).
-	hz    *wakeHeap
-	dirty bool
+	// everyNode makes settle advance every up node each tick instead of
+	// only the due ones: the lockstep reference the in-package
+	// determinism tests compare the scheduler against.
+	everyNode bool
 }
 
 // complPair is one pulled completion with its handle, buffered so gateway
@@ -320,6 +313,10 @@ func New(cfg Config) *Fleet {
 	if cfg.Duration <= 0 {
 		cfg.Duration = 6 * cfg.Epoch
 	}
+	// The router phase runs at tick starts, so a partial tail window would
+	// be simulated by no phase: no arrivals, no completion pull.
+	ticks := max(int(cfg.Duration/cfg.Tick), 1)
+	cfg.Duration = sim.Duration(ticks) * cfg.Tick
 	if cfg.Costs == (reconfig.Costs{}) {
 		cfg.Costs = reconfig.DefaultCosts()
 	}
@@ -373,6 +370,7 @@ func New(cfg Config) *Fleet {
 
 	f := &Fleet{
 		cfg:     cfg,
+		ticks:   ticks,
 		planner: planner,
 		tel:     tel,
 		obs:     newFleetObserver(cfg.Obs, cfg.Telemetry, names, len(cfg.Tenants), cfg.Tick),
@@ -385,6 +383,7 @@ func New(cfg Config) *Fleet {
 		},
 	}
 	f.router.obs = f.obs
+	f.router.hz = &f.hz
 
 	// Per-model router state, with auto-sized SLOs. LLM workloads carry a
 	// per-phase sizing profile and auto-size their SLO from the expected
@@ -491,42 +490,20 @@ func New(cfg Config) *Fleet {
 	return f
 }
 
-// Run executes the fleet experiment and returns its result.
+// Run executes the fleet experiment and returns its result. Every tick
+// runs the whole router phase — pull completions, faults, gateway, replan,
+// reap, route, hedge, observe — and then settles the nodes due inside the
+// tick.
 func (f *Fleet) Run() *Result {
-	eventDriven := f.cfg.Sched == SchedEventHorizon
-	mailboxed := eventDriven || f.cfg.Sched == SchedLookahead
-	if mailboxed {
-		f.router.mailbox = true
-		f.pool = f.newAdvancePool()
-		defer f.pool.Close()
+	f.pool = parallel.NewPool(f.cfg.Parallel)
+	defer f.pool.Close()
+	for _, n := range f.nodes {
+		f.hz.push(n, nodeWake(n))
 	}
-	if eventDriven {
-		f.hz = &wakeHeap{}
-		for _, n := range f.nodes {
-			n.hz = f.hz
-			f.hz.push(n, nodeWake(n))
-		}
-	}
-	ticks := int(f.cfg.Duration / f.cfg.Tick)
-	for tick := 0; tick < ticks; tick++ {
+	for tick := 0; tick < f.ticks; tick++ {
 		now := sim.Time(tick) * f.cfg.Tick
 		f.now = now
-		if eventDriven && f.canSkipPhases(now) {
-			// The whole router phase is provably a no-op; only the tick's
-			// arrival draws (mandatory for RNG parity) and any due node
-			// advancement remain. Arrivals, if any, route through the same
-			// merge as the full phase — the queues are empty, so skipping
-			// drainQueue changes nothing.
-			if f.genArrivals(now, now+f.cfg.Tick) {
-				f.mergeRoute(now)
-			}
-			if f.settleEvent(now + f.cfg.Tick) {
-				f.dirty = true
-			}
-			continue
-		}
 		f.pullCompletions(now)
-		f.dirty = false
 		f.applyFaults(now)
 		if f.gw != nil {
 			f.gw.BeginTick(now)
@@ -540,28 +517,17 @@ func (f *Fleet) Run() *Result {
 			f.gw.HedgeScan(now)
 		}
 		f.observe()
-		switch {
-		case eventDriven:
-			if f.settleEvent(now + f.cfg.Tick) {
-				f.dirty = true
-			}
-		case mailboxed:
-			f.settle(now + f.cfg.Tick)
-		default:
-			f.advance(now + f.cfg.Tick)
-		}
+		f.settle(now + f.cfg.Tick)
 	}
 	f.now = f.cfg.Duration
 	f.pullCompletions(f.cfg.Duration)
-	if mailboxed {
-		// Settled nodes may have been skipped for many ticks; their frozen
-		// state is already final, but the energy integration reads each
-		// node's clock, so fast-forward the stragglers to the end of the
-		// run. No events fire — a skipped node proved it had none due.
-		for _, n := range f.nodes {
-			if n.up {
-				n.node.RunUntil(f.cfg.Duration)
-			}
+	// Settled nodes may have been skipped for many ticks; their frozen
+	// state is already final, but the energy integration reads each node's
+	// clock, so fast-forward the stragglers to the end of the run. No
+	// events fire — a skipped node proved it had none due.
+	for _, n := range f.nodes {
+		if n.up {
+			n.node.RunUntil(f.cfg.Duration)
 		}
 	}
 	f.finish()
@@ -702,9 +668,7 @@ func (f *Fleet) applyFaults(now sim.Time) {
 		} else {
 			n.downUntil = -1
 		}
-		if f.hz != nil {
-			f.hz.remove(n)
-		}
+		f.hz.remove(n)
 		// Mark every handle dead before running the gateway's loss pass, so
 		// retries cannot land on a sibling replica of the same dying node.
 		f.router.invalidate()
@@ -747,9 +711,7 @@ func (f *Fleet) applyFaults(now sim.Time) {
 			n.up = true
 			n.downUntil = 0
 			n.node.RunUntil(now) // fast-forward the frozen clock, empty
-			if f.hz != nil {
-				f.hz.push(n, nodeWake(n))
-			}
+			f.hz.push(n, nodeWake(n))
 			f.tel.traceFault(now, "node-up", n.id)
 			f.tel.gNodesUp().Add(1)
 		}
@@ -804,8 +766,8 @@ func (f *Fleet) reap() {
 
 // routeTick drains admission queues, then generates and routes the tick's
 // arrivals. Arrivals across models are merged by (time, model index) so the
-// decision order is deterministic; each routed request is scheduled onto
-// its node at the exact arrival timestamp. With a rate-limiting gateway,
+// decision order is deterministic; each routed request is posted to its
+// node for delivery at the exact arrival timestamp. With a rate-limiting gateway,
 // admission tokens are contended in priority order — highest class and
 // tightest deadline first, so under overload the lowest-priority,
 // most-slack work is what the emptying buckets shed — while admitted
@@ -820,17 +782,12 @@ func (f *Fleet) routeTick(from, to sim.Time) {
 }
 
 // genArrivals draws every workload's arrivals for one tick window into the
-// reusable per-model buffers, reporting whether any arrived. The draws
-// must happen exactly once per tick window on every scheduler path — the
-// generators restart their gap sampling from the window start — so this is
-// the one phase an idle tick can never skip.
-func (f *Fleet) genArrivals(from, to sim.Time) bool {
-	any := false
+// reusable per-model buffers. The draws happen exactly once per tick
+// window — the generators restart their gap sampling from the window
+// start — which is what pins the arrival stream to the seed.
+func (f *Fleet) genArrivals(from, to sim.Time) {
 	for i, w := range f.cfg.Workloads {
 		f.arrivalBufs[i] = workload.TenantArrivals(w.Gen, f.arrivalRngs[i], f.cfg.Tenants, from, to, f.arrivalBufs[i][:0])
-		if len(f.arrivalBufs[i]) > 0 {
-			any = true
-		}
 		// LLM workloads draw their sequence lengths from the same per-model
 		// rng, after the window's arrival draws — one Draw per arrival, so
 		// classic models consume exactly the PR9 stream.
@@ -842,7 +799,6 @@ func (f *Fleet) genArrivals(from, to sim.Time) bool {
 			}
 		}
 	}
-	return any
 }
 
 // mergeRoute merges the generated arrival buffers by (time, model index)
@@ -1004,26 +960,6 @@ func (f *Fleet) observe() {
 		}
 	}
 	f.tel.setLaggards(&lagIDs, &lagDepths, lagN)
-}
-
-// advance runs every up node to t, concurrently when configured. Nodes
-// share nothing — each owns its engine, devices, and RNGs — so the merge
-// is trivially deterministic: results are read back in node order after
-// the barrier.
-func (f *Fleet) advance(t sim.Time) {
-	up := make([]*fleetNode, 0, len(f.nodes))
-	for _, n := range f.nodes {
-		if n.up {
-			up = append(up, n)
-		}
-	}
-	err := parallel.Each(context.Background(), f.cfg.Parallel, len(up), func(_ context.Context, i int) error {
-		up[i].node.RunUntil(t)
-		return nil
-	})
-	if err != nil {
-		panic(err) // only node-sim panics reach here; re-raise them
-	}
 }
 
 // finish folds per-model state into the result.

@@ -11,7 +11,7 @@ import (
 // TestSerialParallelIdentical is the fleet determinism guarantee: the same
 // seed and trace produce byte-identical per-request routing decisions and
 // identical results whether nodes advance serially or on a worker pool.
-// Run under -race this also proves the lockstep advancement shares nothing.
+// Run under -race this also proves node advancement shares nothing.
 func TestSerialParallelIdentical(t *testing.T) {
 	run := func(workers int) *Result {
 		cfg := baseConfig(t)

@@ -37,18 +37,7 @@ func (fb *fleetFabric) SendCopy(model, replica int, id uint64, arrival sim.Time,
 	h.outstanding++
 	h.routed++
 	fb.f.obs.onCopy(id, replica, kind)
-	rep := h.rep
-	at := arrival
-	if fb.f.router.mailbox {
-		deliver := at
-		if deliver < fb.f.now {
-			deliver = fb.f.now
-		}
-		h.nodeRef.node.PostSubmit(deliver, at, rep, id)
-		h.nodeRef.noteMail(deliver)
-		return
-	}
-	h.nodeRef.node.Schedule(at, func() { rep.SubmitID(at, id) })
+	fb.f.hz.post(h, fb.f.now, arrival, arrival, id, 0, 0, false)
 }
 
 // CancelCopy revokes the losing copy of a hedged request. A dequeued copy

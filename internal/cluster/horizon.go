@@ -2,9 +2,9 @@ package cluster
 
 import "krisp/internal/sim"
 
-// wakeHeap is the event-horizon scheduler's core structure: an indexed
-// binary min-heap of up nodes keyed by wake time, tie-broken by node id so
-// pop order is deterministic.
+// wakeHeap is the fleet scheduler's core structure: an indexed binary
+// min-heap of up nodes keyed by wake time, tie-broken by node id so pop
+// order is deterministic.
 //
 // Invariants, maintained across the run:
 //
@@ -15,15 +15,14 @@ import "krisp/internal/sim"
 //     any mail posted to it since its last advancement). A node with
 //     neither parks at sim.Never.
 //   - Between advancements a node's engine is frozen, so its wake can only
-//     move earlier through one path — the router (or gateway fabric)
-//     posting mail — and noteMail lowers the key at the moment of posting.
+//     move earlier through one path — post, the fleet's single cross-node
+//     delivery — which lowers the key at the moment of posting.
 //     Advancement itself drains the mailbox completely (AdvanceTo panics
 //     on stranded mail), so the post-advance wake is just the engine's
 //     next event time.
 //
 // settle then pops exactly the nodes whose wake lies inside the granted
-// horizon: O(active log n) per tick instead of the lookahead scheduler's
-// O(n) fleet scan, which is the cost that erased its edge at 64 nodes.
+// horizon: O(active log n) per tick, with no scan over idle nodes.
 type wakeHeap struct {
 	nodes []*fleetNode
 }
@@ -143,82 +142,50 @@ func nodeWake(n *fleetNode) sim.Time {
 	return sim.Never
 }
 
-// noteMail lowers the node's wake to a just-posted mail delivery. A no-op
-// outside event-horizon mode (hz nil) — the lookahead scan checks
-// MailboxLen itself — and for nodes not currently in the heap.
-func (n *fleetNode) noteMail(deliver sim.Time) {
-	if n.hz != nil {
-		n.hz.lower(n, deliver)
+// post is the fleet's one cross-node delivery path: every request copy the
+// control plane sends — a routed primary, a gateway hedge or retry, an LLM
+// KV handoff — goes through it. The delivery time is clamped to the router
+// clock now (a queued re-send or a late copy is delivered now, while its
+// latency still counts from arrival), the copy is posted to the node's
+// mailbox, and the node's wake drops to the delivery so the next settle
+// advances it. prompt > 0 marks an autoregressive submit and prefilled a
+// KV handoff joining decode directly.
+func (w *wakeHeap) post(h *replicaHandle, now, deliver, arrival sim.Time, id uint64, prompt, output int, prefilled bool) {
+	if deliver < now {
+		deliver = now
 	}
+	if prompt > 0 || prefilled {
+		h.nodeRef.node.PostSubmitSeq(deliver, arrival, h.rep, id, prompt, output, prefilled)
+	} else {
+		h.nodeRef.node.PostSubmit(deliver, arrival, h.rep, id)
+	}
+	w.lower(h.nodeRef, deliver)
 }
 
-// settleEvent is the event-horizon advancement phase: pop every node whose
-// wake lies at or inside the horizon, advance them through the worker
-// pool, and re-key them from their engines. It reports whether any node
-// advanced — the signal that completions may now be pending and the next
-// tick must run a full router phase.
-func (f *Fleet) settleEvent(horizon sim.Time) bool {
+// settle is the per-tick advancement phase: pop every node whose wake lies
+// at or inside the horizon, advance them through the worker pool, and
+// re-key them from their engines. Nodes left in the heap are provably idle
+// across the window — an event-driven engine with no due event or mail
+// cannot change state — so their frozen state is exactly what advancing
+// them would have produced, and the router phase's direct calls against
+// them (Kill, Drain, Cancel, AddReplica, TakeCompletions) see the same
+// thing. Their clocks lag until their next advancement, and Run
+// fast-forwards any still-lagging clock to Duration before the energy
+// integration at the end.
+//
+// everyNode pops every up node regardless of wake: the lockstep reference
+// the determinism tests compare the scheduler against.
+func (f *Fleet) settle(horizon sim.Time) {
 	act := f.activeBuf[:0]
-	for len(f.hz.nodes) > 0 && f.hz.nodes[0].wake <= horizon {
+	for len(f.hz.nodes) > 0 && (f.everyNode || f.hz.nodes[0].wake <= horizon) {
 		act = append(act, f.hz.pop())
 	}
 	f.activeBuf = act
 	if len(act) == 0 {
-		return false
+		return
 	}
 	f.pool.Run(len(act), func(i int) { act[i].node.AdvanceTo(horizon) })
 	for _, n := range act {
 		f.hz.push(n, nodeWake(n))
 	}
-	return true
-}
-
-// canSkipPhases reports whether this tick's entire router phase is
-// provably a no-op before running it, so the event-horizon loop can jump
-// straight to arrival generation:
-//
-//   - no node advanced since the last completion pull, so every replica's
-//     completion list is exactly as empty as that pull left it, no
-//     draining replica changed state (reap would find nothing new), and
-//     pullCompletions/reap are no-ops;
-//   - no node fault fires at this tick and no downed node recovers, so
-//     applyFaults is a no-op;
-//   - the autoscaler's next epoch lies beyond this tick;
-//   - every admission queue is empty, so drainQueue has nothing to retry
-//     or shed;
-//   - no gateway (hedge scans fire on elapsed time even without traffic),
-//     no telemetry (observe samples gauges every tick), and no observer
-//     (burn-rate monitors advance their windows every tick).
-//
-// Arrival generation can never be skipped: the workload generators restart
-// their exponential-gap draws from the window start and discard the
-// overshooting gap, so each tick window's RNG draws must happen exactly
-// once regardless of scheduler — that is what keeps this mode
-// byte-identical to lockstep.
-func (f *Fleet) canSkipPhases(now sim.Time) bool {
-	if f.dirty || f.gw != nil || f.tel != nil || f.obs != nil {
-		return false
-	}
-	if f.faultIdx < len(f.downFaults) && f.downFaults[f.faultIdx].At <= now {
-		return false
-	}
-	if f.scaler.next <= now {
-		return false
-	}
-	for _, n := range f.nodes {
-		if !n.up && n.downUntil >= 0 && now >= n.downUntil {
-			return false
-		}
-	}
-	for _, m := range f.router.models {
-		if len(m.queue) > 0 {
-			return false
-		}
-		// Pending KV handoffs must be released by routeTick: a skipped
-		// phase would strand prefilled sequences in transit.
-		if m.llm != nil && len(m.llm.handoffs) > 0 {
-			return false
-		}
-	}
-	return true
 }

@@ -125,23 +125,13 @@ func (r *router) sendHandoff(m *modelState, h *replicaHandle, ho handoff, now si
 		fmt.Fprintf(r.log, "%d %s~>%d\n", r.seq, m.name, h.id)
 	}
 	r.tel.traceRoute(now, h.id)
-	deliver := ho.due
-	if deliver < now {
-		deliver = now
-	}
-	if r.mailbox {
-		h.nodeRef.node.PostSubmitSeq(deliver, ho.arrival, h.rep, ho.id, ho.prompt, ho.output, true)
-		h.nodeRef.noteMail(deliver)
-		return
-	}
-	rep, at, id, p, o := h.rep, ho.arrival, ho.id, ho.prompt, ho.output
-	h.nodeRef.node.Schedule(deliver, func() { rep.SubmitSeq(at, id, p, o, true) })
+	r.hz.post(h, now, ho.due, ho.arrival, ho.id, ho.prompt, ho.output, true)
 }
 
 // releaseHandoffs routes every handoff whose KV transfer lands inside this
 // tick to a decode replica. Transfers still in flight — or blocked because
 // every decode replica is at its admission cap — stay queued for the next
-// tick (which canSkipPhases can therefore never skip).
+// tick.
 func (f *Fleet) releaseHandoffs(from, to sim.Time) {
 	for _, m := range f.router.models {
 		lm := m.llm

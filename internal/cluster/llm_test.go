@@ -160,11 +160,12 @@ func TestLLMPerPhaseBeatsShared(t *testing.T) {
 
 // TestLLMMatrixIdentical is the LLM determinism guarantee: a disaggregated
 // continuous-batching fleet (plus a classic model sharing the merge) must
-// produce byte-identical routing logs and results across every scheduler
-// and worker count, with journey sampling on. Run under -race this also
-// proves token-boundary joins stay on the node goroutines.
+// produce byte-identical routing logs and results at every worker count,
+// with journey sampling on, against the unobserved lockstep reference. Run
+// under -race this also proves token-boundary joins stay on the node
+// goroutines.
 func TestLLMMatrixIdentical(t *testing.T) {
-	run := func(sched Sched, workers int, obs *Observability) *Result {
+	config := func(workers int, obs *Observability) Config {
 		cfg := llmDisaggConfig()
 		sq, _ := models.ByName("squeezenet")
 		cfg.Workloads = append(cfg.Workloads, Workload{
@@ -173,14 +174,13 @@ func TestLLMMatrixIdentical(t *testing.T) {
 			Gen:   workload.Constant{RatePerSec: 400},
 		})
 		cfg.Policy = SLOAware
-		cfg.Sched = sched
 		cfg.Parallel = workers
 		cfg.RecordRouting = true
 		cfg.Obs = obs
-		return Run(cfg)
+		return cfg
 	}
 
-	base := run(SchedLockstep, 1, nil)
+	base := runReference(config(1, nil))
 	if base.RoutingLog == "" {
 		t.Fatal("no routing decisions recorded")
 	}
@@ -188,16 +188,13 @@ func TestLLMMatrixIdentical(t *testing.T) {
 		t.Fatal("matrix scenario exercised no handoffs")
 	}
 	obs := &Observability{SampleEvery: 1, Monitors: true, FlightCap: 32}
-	for _, sched := range []Sched{SchedLockstep, SchedLookahead, SchedEventHorizon} {
-		for _, workers := range []int{1, 0, 8} {
-			got := run(sched, workers, obs)
-			if got.RoutingLog != base.RoutingLog {
-				t.Fatalf("sched=%v workers=%d: routing log diverged", sched, workers)
-			}
-			if !reflect.DeepEqual(got, base) {
-				t.Fatalf("sched=%v workers=%d: result diverged:\nbase: %+v\ngot:  %+v",
-					sched, workers, base, got)
-			}
+	for _, workers := range []int{1, 0, 2, 8} {
+		got := Run(config(workers, obs))
+		if got.RoutingLog != base.RoutingLog {
+			t.Fatalf("workers=%d: routing log diverged", workers)
+		}
+		if !reflect.DeepEqual(got, base) {
+			t.Fatalf("workers=%d: result diverged:\nbase: %+v\ngot:  %+v", workers, base, got)
 		}
 	}
 }

@@ -34,15 +34,14 @@ func grayBurn() telemetry.BurnConfig {
 
 // TestJourneyMatrixIdentical is the observability determinism guarantee:
 // full journey sampling plus burn-rate monitors must leave the routing log
-// and the entire Result byte-identical to an unobserved run — across every
-// scheduler and worker count, with the gateway's hedging and a node fault
-// in play. Run under -race this also proves the observer stays on the
-// control goroutine.
+// and the entire Result byte-identical to the unobserved lockstep
+// reference — at every worker count, with the gateway's hedging and a node
+// fault in play. Run under -race this also proves the observer stays on
+// the control goroutine.
 func TestJourneyMatrixIdentical(t *testing.T) {
-	run := func(sched Sched, workers int, obs *Observability) *Result {
+	config := func(workers int, obs *Observability) Config {
 		cfg := baseConfig(t)
 		cfg.Policy = SLOAware
-		cfg.Sched = sched
 		cfg.Parallel = workers
 		cfg.RecordRouting = true
 		cfg.Gateway = &gateway.Config{}
@@ -52,24 +51,22 @@ func TestJourneyMatrixIdentical(t *testing.T) {
 			{At: 140 * sim.Millisecond, Node: 2, Kind: faults.NodeDown,
 				Duration: 80 * sim.Millisecond},
 		}
-		return Run(cfg)
+		return cfg
 	}
 
-	base := run(SchedLockstep, 1, nil)
+	base := runReference(config(1, nil))
 	if base.RoutingLog == "" {
 		t.Fatal("no routing decisions recorded")
 	}
 	obs := &Observability{SampleEvery: 1, Monitors: true, FlightCap: 32}
-	for _, sched := range []Sched{SchedLockstep, SchedLookahead, SchedEventHorizon} {
-		for _, workers := range []int{1, 0, 8} {
-			got := run(sched, workers, obs)
-			if got.RoutingLog != base.RoutingLog {
-				t.Fatalf("sched=%v workers=%d: journeys changed the routing log", sched, workers)
-			}
-			if !reflect.DeepEqual(got, base) {
-				t.Fatalf("sched=%v workers=%d: journeys changed the result:\nbase: %+v\ngot:  %+v",
-					sched, workers, base, got)
-			}
+	for _, workers := range []int{1, 0, 2, 8} {
+		got := Run(config(workers, obs))
+		if got.RoutingLog != base.RoutingLog {
+			t.Fatalf("workers=%d: journeys changed the routing log", workers)
+		}
+		if !reflect.DeepEqual(got, base) {
+			t.Fatalf("workers=%d: journeys changed the result:\nbase: %+v\ngot:  %+v",
+				workers, base, got)
 		}
 	}
 }
@@ -202,7 +199,7 @@ func TestStageHistogramsPopulated(t *testing.T) {
 }
 
 // TestObservabilityOffIsFree: a nil and a fully-disabled Obs produce no
-// observer at all, so the event-horizon scheduler keeps its idle-skip path.
+// observer at all, so an unobserved fleet pays nothing for the layer.
 func TestObservabilityOffIsFree(t *testing.T) {
 	if o := newFleetObserver(nil, nil, nil, 0, sim.Millisecond); o != nil {
 		t.Fatal("nil Obs built an observer")
@@ -298,10 +295,9 @@ func BenchmarkRouteWithJourneys(b *testing.B) {
 }
 
 // BenchmarkFleetScalingJourneys is the whole-fleet overhead benchmark
-// behind BENCH_PR9.json's journey-sampling section: the 16-node
-// event-horizon sweep from BenchmarkFleetScaling with observability off,
-// at 1% sampling, and at full sampling (monitors on in both sampled
-// modes).
+// behind BENCH_PR9.json's journey-sampling section: the 16-node pooled
+// run from BenchmarkFleetScaling with observability off, at 1% sampling,
+// and at full sampling (monitors on in both sampled modes).
 func BenchmarkFleetScalingJourneys(b *testing.B) {
 	for _, bc := range []struct {
 		name string
@@ -313,7 +309,6 @@ func BenchmarkFleetScalingJourneys(b *testing.B) {
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			cfg := scalingConfig(b, 16)
-			cfg.Sched = SchedEventHorizon
 			cfg.Parallel = 0
 			cfg.Obs = bc.obs
 			total := 0

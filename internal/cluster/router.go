@@ -232,12 +232,8 @@ type router struct {
 	gw     *gateway.Gateway
 	reqSeq uint64 // request identity allocator (gateway mode; ids start at 1)
 
-	// mailbox switches sends from scheduling closures on node engines to
-	// posting timestamped mail (the lookahead scheduler's transport). The
-	// delivery timestamp is clamped to the router clock — the same clamp
-	// Schedule applied against the node clock under lockstep, where the two
-	// clocks were equal at every router phase.
-	mailbox bool
+	// hz is the fleet's wake heap; every send posts through hz.post.
+	hz *wakeHeap
 
 	// epoch versions the replica sets: every control-plane mutation that can
 	// change a handle's routability (spawn, drain, kill, reap) bumps it,
@@ -445,10 +441,11 @@ func (r *router) pick(m *modelState, now sim.Time, exclude int) *replicaHandle {
 }
 
 // route admits one request that arrived at the given time: hand it to a
-// replica, queue it, or reject it. Routed requests are scheduled onto the
-// chosen replica's node at their arrival timestamp. tenant is the dense
-// gateway tenant index (0 without a gateway); prompt/output are the drawn
-// sequence lengths for LLM workloads (0 for classic models).
+// replica, queue it, or reject it. Routed requests are posted to the
+// chosen replica's node for delivery at their arrival timestamp (or now,
+// for a re-send from the queue). tenant is the dense gateway tenant index
+// (0 without a gateway); prompt/output are the drawn sequence lengths for
+// LLM workloads (0 for classic models).
 func (r *router) route(m *modelState, arrival sim.Time, now sim.Time, tenant, prompt, output int) {
 	r.seq++
 	m.arrivals++
@@ -480,8 +477,6 @@ func (r *router) send(m *modelState, h *replicaHandle, arrival, now sim.Time, te
 	if r.log != nil {
 		fmt.Fprintf(r.log, "%d %s->%d\n", r.seq, m.name, h.id)
 	}
-	rep := h.rep
-	at := arrival
 	var id uint64
 	if r.gw != nil || r.obs.journeysOn() {
 		r.reqSeq++
@@ -492,29 +487,7 @@ func (r *router) send(m *modelState, h *replicaHandle, arrival, now sim.Time, te
 	}
 	r.obs.onSend(id, m, h, tenant, arrival, now)
 	r.tel.traceRoute(now, h.id)
-	if r.mailbox {
-		deliver := at
-		if deliver < now {
-			deliver = now // queued re-sends deliver now, like Schedule's clamp
-		}
-		if prompt > 0 {
-			h.nodeRef.node.PostSubmitSeq(deliver, at, rep, id, prompt, output, false)
-		} else {
-			h.nodeRef.node.PostSubmit(deliver, at, rep, id)
-		}
-		h.nodeRef.noteMail(deliver)
-		return
-	}
-	if prompt > 0 {
-		p, o := prompt, output
-		h.nodeRef.node.Schedule(at, func() { rep.SubmitSeq(at, id, p, o, false) })
-		return
-	}
-	if id != 0 {
-		h.nodeRef.node.Schedule(at, func() { rep.SubmitID(at, id) })
-		return
-	}
-	h.nodeRef.node.Schedule(at, func() { rep.Submit(at) })
+	r.hz.post(h, now, arrival, arrival, id, prompt, output, false)
 }
 
 // drainQueue re-attempts queued requests (oldest first) and sheds the ones

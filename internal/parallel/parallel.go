@@ -116,15 +116,3 @@ func Map[T any](ctx context.Context, workers, n int, fn func(ctx context.Context
 	}
 	return out, nil
 }
-
-// Each is Map without results: it runs fn(ctx, i) for i in [0, n) on at
-// most workers goroutines, with the same dispatch order, cancellation, and
-// panic-capture semantics. The cluster fleet uses it to advance
-// share-nothing node simulations in lockstep — side effects land in each
-// job's own state, so no result slice is needed.
-func Each(ctx context.Context, workers, n int, fn func(ctx context.Context, i int) error) error {
-	_, err := Map(ctx, workers, n, func(ctx context.Context, i int) (struct{}, error) {
-		return struct{}{}, fn(ctx, i)
-	})
-	return err
-}

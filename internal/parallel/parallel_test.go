@@ -189,45 +189,3 @@ func TestMapDefaultsAndEdgeCases(t *testing.T) {
 		t.Fatalf("n=0 with canceled ctx: err = %v, want context.Canceled", err)
 	}
 }
-
-func TestEachRunsAllJobs(t *testing.T) {
-	var hits [50]atomic.Int32
-	err := Each(context.Background(), 4, len(hits), func(_ context.Context, i int) error {
-		hits[i].Add(1)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range hits {
-		if got := hits[i].Load(); got != 1 {
-			t.Fatalf("job %d ran %d times", i, got)
-		}
-	}
-}
-
-func TestEachPropagatesError(t *testing.T) {
-	boom := errors.New("boom")
-	err := Each(context.Background(), 2, 10, func(_ context.Context, i int) error {
-		if i == 3 {
-			return boom
-		}
-		return nil
-	})
-	if !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want wrapped boom", err)
-	}
-}
-
-func TestEachCapturesPanic(t *testing.T) {
-	err := Each(context.Background(), 2, 4, func(_ context.Context, i int) error {
-		if i == 2 {
-			panic("kaboom")
-		}
-		return nil
-	})
-	var pe *PanicError
-	if !errors.As(err, &pe) || pe.Index != 2 {
-		t.Fatalf("err = %v, want PanicError for job 2", err)
-	}
-}

@@ -7,7 +7,7 @@ import (
 )
 
 // Pool is a persistent fixed-size worker pool for repeated index fan-outs.
-// Map/Each spin up and tear down goroutines per call, which is fine for a
+// Map spins up and tears down goroutines per call, which is fine for a
 // benchmark grid but not for a simulation scheduler that fans out thousands
 // of times per run: goroutine startup and the final join dominate when each
 // round's work is tens of microseconds. A Pool starts its workers once;

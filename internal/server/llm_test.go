@@ -349,13 +349,10 @@ func TestLLMTwinRunDeterminism(t *testing.T) {
 		rep := llmReplica(n, LLMSpec{Model: model, MaxSeqs: 4, KVBudget: 48 * model.KVBytesPerToken()})
 		id := uint64(0)
 		for at := sim.Time(0); at < 20*sim.Millisecond; at += 3 * sim.Millisecond {
-			at := at
-			n.Schedule(at, func() {
-				id++
-				rep.SubmitSeq(at, id, 16+int(id%5)*8, 8+int(id%3)*8, false)
-			})
+			id++
+			n.PostSubmitSeq(at, at, rep, id, 16+int(id%5)*8, 8+int(id%3)*8, false)
 		}
-		n.RunUntil(sim.Second)
+		n.AdvanceTo(sim.Second)
 		return rep.TakeCompletions(nil)
 	}
 	a, b := run(), run()

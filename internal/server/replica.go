@@ -17,7 +17,8 @@ import (
 // NodeConfig describes one persistent serving node: a multi-GPU stack that
 // is stepped externally instead of running one closed-loop experiment to
 // completion. The cluster layer (internal/cluster) builds one Node per
-// simulated machine and advances them all in lockstep.
+// simulated machine, posts cross-node requests to its mailbox, and
+// advances it with AdvanceTo whenever it has work due.
 type NodeConfig struct {
 	// Spec is the device model for every GPU on the node; zero means MI50.
 	Spec gpu.DeviceSpec
@@ -49,10 +50,11 @@ type NodeConfig struct {
 }
 
 // Node is a persistent multi-GPU serving stack with its own virtual clock.
-// Replicas are added and drained at runtime; the owner advances the clock
-// with RunUntil. A Node is single-goroutine: all calls must come from the
-// same goroutine (the cluster layer advances distinct nodes concurrently,
-// which is safe because nodes share nothing).
+// Replicas are added and drained at runtime; the owner posts requests with
+// PostSubmit/PostSubmitSeq and advances the clock with AdvanceTo (or
+// RunUntil, when no mail is pending). A Node is single-goroutine: all
+// calls must come from the same goroutine (the cluster layer advances
+// distinct nodes concurrently, which is safe because nodes share nothing).
 type Node struct {
 	cfg      NodeConfig
 	eng      *sim.Engine
@@ -68,13 +70,12 @@ type Node struct {
 	replicaFree [][]*Replica
 	replicaSeq  int64
 
-	// mail is the node's cross-node command inbox for lookahead
-	// scheduling: the cluster's router phase posts timestamped request
-	// deliveries here instead of scheduling closures, and AdvanceTo
+	// mail is the node's cross-node command inbox: the cluster's router
+	// phase posts timestamped request deliveries here, and AdvanceTo
 	// ingests them before advancing the clock. mailSeq stamps posting
-	// order so simultaneous commands replay in exactly the order a
-	// lockstep router would have scheduled them; mailIdx is the pump's
-	// progress cursor through the sorted batch.
+	// order so simultaneous commands replay in the order they were
+	// posted; mailIdx is the pump's progress cursor through the sorted
+	// batch.
 	mail    []mail
 	mailSeq uint64
 	mailIdx int
@@ -183,22 +184,11 @@ func (n *Node) Now() sim.Time { return n.eng.Now() }
 // RunUntil advances the node's clock to t, firing every pending event.
 func (n *Node) RunUntil(t sim.Time) { n.eng.RunUntil(t) }
 
-// Schedule runs fn on the node's clock at time t (clamped to now if t has
-// already passed). The cluster layer uses it to deliver requests at their
-// exact arrival timestamps between lockstep advances.
-func (n *Node) Schedule(t sim.Time, fn func()) {
-	if t < n.eng.Now() {
-		t = n.eng.Now()
-	}
-	n.eng.At(t, fn)
-}
-
 // mail is one posted cross-node command: a request copy delivered to a
 // replica at virtual time deliver, stamped with its original arrival.
 // deliver and arrival differ when the router re-sends a request that
 // queued router-side: delivery is clamped to the router clock, but the
-// request's latency still counts from its true arrival — the same split
-// lockstep got from Schedule's clamp around an unclamped SubmitID.
+// request's latency still counts from its true arrival.
 type mail struct {
 	deliver sim.Time
 	arrival sim.Time
@@ -214,10 +204,9 @@ type mail struct {
 
 // PostSubmit queues one request delivery for the replica, to be ingested
 // by the next AdvanceTo. The caller (the cluster's router phase) must post
-// with deliver no earlier than the node's last granted horizon —
-// lockstep's Schedule clamped past arrivals to the node clock, so
-// lookahead callers clamp to the router's own clock before posting. id 0
-// means an untracked request (Submit); nonzero a tracked copy (SubmitID).
+// with deliver no earlier than the node's last granted horizon; the
+// router clamps delivery to its own clock, which never lags a node's. id 0
+// means an untracked request; nonzero a tracked copy (SubmitID).
 func (n *Node) PostSubmit(deliver, arrival sim.Time, r *Replica, id uint64) {
 	n.mailSeq++
 	n.mail = append(n.mail, mail{deliver: deliver, arrival: arrival, seq: n.mailSeq, rep: r, id: id})
@@ -237,19 +226,14 @@ func (n *Node) PostSubmitSeq(deliver, arrival sim.Time, r *Replica, id uint64, p
 	})
 }
 
-// MailboxLen returns the number of posted, not-yet-ingested commands. A
-// node with pending mail can never be skipped by a lookahead grant.
-func (n *Node) MailboxLen() int { return len(n.mail) }
-
-// NextEventTime exposes the engine's earliest pending event — the lower
-// bound the lookahead scheduler combines with MailboxLen to prove the node
-// cannot act before a horizon.
+// NextEventTime exposes the engine's earliest pending event — the cluster's
+// wake heap keys the node by it after each advancement.
 func (n *Node) NextEventTime() (sim.Time, bool) { return n.eng.NextEventTime() }
 
 // pump applies every mailbox command whose timestamp has arrived. It runs
 // as an engine event (one firing per distinct command timestamp), so the
-// deliveries interleave with the node's own events exactly where a
-// lockstep router's per-command closures would have.
+// deliveries interleave with the node's own events at their exact
+// timestamps.
 func (n *Node) pump() {
 	now := n.eng.Now()
 	for n.mailIdx < len(n.mail) && n.mail[n.mailIdx].deliver <= now {
@@ -265,10 +249,10 @@ func (n *Node) pump() {
 
 // AdvanceTo ingests the mailbox and advances the node's clock to t, firing
 // every event with timestamp <= t. Commands are replayed in (time, posting
-// order) — byte-identical to a lockstep router scheduling each command as
-// its own closure, because the pump events are created before any
-// event the advancement itself schedules and therefore rank first among
-// ties, exactly like the router-phase closures did. Every posted command
+// order). The pump events are created before any event the advancement
+// itself schedules, so among equal timestamps they rank after events
+// already pending and before new ones — the order scheduling each command
+// on the engine at posting time would give. Every posted command
 // must have deliver <= t; AdvanceTo panics if mail would be left
 // undelivered, because a partially drained mailbox cannot be re-sorted
 // safely.

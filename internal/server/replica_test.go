@@ -158,17 +158,6 @@ func TestReplicasShareNodeDeterministically(t *testing.T) {
 	}
 }
 
-func TestNodeSchedulePastClamps(t *testing.T) {
-	n := testNode(t, 1)
-	n.RunUntil(1000)
-	fired := sim.Time(-1)
-	n.Schedule(500, func() { fired = n.Now() }) // in the past: clamp to now
-	n.RunUntil(2000)
-	if fired < 1000 {
-		t.Fatalf("past-scheduled fn fired at %v, want clamped >= 1000", fired)
-	}
-}
-
 func TestNodeEnergyAccumulates(t *testing.T) {
 	n := testNode(t, 2)
 	rep := n.AddReplica(ReplicaSpec{Model: squeezenet(t), Batch: 4, CUs: 16})

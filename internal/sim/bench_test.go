@@ -53,7 +53,7 @@ func BenchmarkCancelReschedule(b *testing.B) {
 	e.Run()
 }
 
-// BenchmarkHorizonProbe measures the lookahead scheduler's inner loop: a
+// BenchmarkHorizonProbe measures the fleet scheduler's per-node step: a
 // NextEventTime probe followed by a bounded RunUntil on a warm engine —
 // the per-node cost of proving "this node cannot act before the horizon".
 // Must stay 0 allocs/op like the rest of the engine hot path.

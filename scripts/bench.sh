@@ -3,14 +3,14 @@
 # the LLM serving PR: the continuous-batching token loop, per-phase
 # right-sizing, and the disaggregated LLM fleet (shared vs per-phase),
 # plus everything carried forward — the fleet-scaling sweep (4/16/64 nodes
-# under serial lockstep, parallel lockstep, conservative lookahead, and
-# the event-horizon default), the journey-sampling overhead sweep, the
+# on the fleet's one scheduler, serial with Parallel 1 and pooled with
+# Parallel 0), the journey-sampling overhead sweep, the
 # tracked 3-node fleet throughput benchmarks, and the dispatch-path
 # microbenchmarks. Hard guards: gateway admission at 0 allocs/op, every
 # routing-decision policy at 0, routing with journeys off at 0, the LLM
 # continuous-batching token loop at 0, server.ServeOneBatchKRISP at or
 # under 20 allocs/op, and — the PR10 acceptance gate — the LLM-off
-# 16-node event-horizon fleet throughput must stay within noise of the
+# 16-node pooled fleet throughput must stay within noise of the
 # PR9 baseline (the LLM hooks must cost nothing when no LLM workload is
 # configured); any regression fails the script.
 #
@@ -125,7 +125,8 @@ pr7_p2c_ns=251.7
 
 # PR9 baselines (BENCH_PR9.json, same host/methodology): the 16-node
 # event-horizon sweep this PR's LLM-off acceptance gate is judged
-# against. The sweep workload configures no LLM workload, so it exercises
+# against. That run is today's nodes=16/pooled row: the same wake-heap
+# scheduler on the same workload at Parallel 0. The sweep workload configures no LLM workload, so it exercises
 # exactly the path the gate protects: with LLM off the fleet must consume
 # zero extra RNG draws, run byte-identical to PR9, and lose no
 # throughput. The floor is 0.65x — run-to-run noise on this shared
@@ -135,7 +136,7 @@ pr7_p2c_ns=251.7
 pr9_scaling_eh_ns_16=21194909
 pr9_scaling_eh_rps_16=87238
 
-llm_off_rps=$(best_max "$scaletxt" "FleetScaling/nodes=16/event-horizon" requests/s)
+llm_off_rps=$(best_max "$scaletxt" "FleetScaling/nodes=16/pooled" requests/s)
 llm_off_ok=$(awk -v now="$llm_off_rps" -v base="$pr9_scaling_eh_rps_16" \
     'BEGIN { print (now >= 0.65 * base) ? "ok" : "fail" }')
 if [ "$llm_off_ok" != "ok" ]; then
@@ -152,8 +153,8 @@ scale_entry() { # $1 = nodes, $2 = mode
         "$(best_max "$scaletxt" "FleetScaling/nodes=$1/$2" requests/s)"
 }
 
-speedup() { # $1 = baseline ns, $2 = nodes (event-horizon vs pr7 lockstep)
-    now=$(best_min "$scaletxt" "FleetScaling/nodes=$2/event-horizon" ns/op)
+speedup() { # $1 = baseline ns, $2 = nodes (pooled vs pr7 lockstep)
+    now=$(best_min "$scaletxt" "FleetScaling/nodes=$2/pooled" ns/op)
     awk -v b="$1" -v n="$now" 'BEGIN { printf "%.2f", b / n }'
 }
 
@@ -188,7 +189,7 @@ cat > "$out" <<EOF
   },
   "journeys": {
     "unit": {"time": "ns/op (one 300ms virtual 16-node fleet run, best of $scale_count)", "throughput": "routed requests per wall-second (best of $scale_count)"},
-    "workload": "squeezenet batch 8, constant 400 req/s per node, 16 nodes x 2 GPUs, event-horizon scheduler, seed 7",
+    "workload": "squeezenet batch 8, constant 400 req/s per node, 16 nodes x 2 GPUs, pooled (Parallel 0), seed 7",
     "off":  {"time": $journey_off_ns,  "throughput": $journey_off_rps},
     "1pct": {"time": $journey_1pct_ns, "throughput": $journey_1pct_rps, "overhead_time": $(ratio "$journey_1pct_ns" "$journey_off_ns")},
     "all":  {"time": $journey_all_ns,  "throughput": $journey_all_rps, "overhead_time": $(ratio "$journey_all_ns" "$journey_off_ns")}
@@ -197,22 +198,16 @@ cat > "$out" <<EOF
     "unit": {"time": "ns/op (one 300ms virtual fleet run, best of $scale_count)", "throughput": "routed requests per wall-second (best of $scale_count)"},
     "workload": "squeezenet batch 8, constant 400 req/s per node, 2 GPUs per node, seed 7",
     "nodes=4": {
-      "serial":        $(scale_entry 4 serial),
-      "lockstep":      $(scale_entry 4 lockstep),
-      "lookahead":     $(scale_entry 4 lookahead),
-      "event-horizon": $(scale_entry 4 event-horizon)
+      "serial": $(scale_entry 4 serial),
+      "pooled": $(scale_entry 4 pooled)
     },
     "nodes=16": {
-      "serial":        $(scale_entry 16 serial),
-      "lockstep":      $(scale_entry 16 lockstep),
-      "lookahead":     $(scale_entry 16 lookahead),
-      "event-horizon": $(scale_entry 16 event-horizon)
+      "serial": $(scale_entry 16 serial),
+      "pooled": $(scale_entry 16 pooled)
     },
     "nodes=64": {
-      "serial":        $(scale_entry 64 serial),
-      "lockstep":      $(scale_entry 64 lockstep),
-      "lookahead":     $(scale_entry 64 lookahead),
-      "event-horizon": $(scale_entry 64 event-horizon)
+      "serial": $(scale_entry 64 serial),
+      "pooled": $(scale_entry 64 pooled)
     },
     "pr9_event_horizon_16": {"time": $pr9_scaling_eh_ns_16, "throughput": $pr9_scaling_eh_rps_16},
     "pr7_lockstep_baseline": {
@@ -229,7 +224,6 @@ cat > "$out" <<EOF
   "fleet": {
     "unit": {"time": "ns/op (one 300ms virtual fleet run)", "throughput": "routed requests per wall-second"},
     "FleetThroughputSerial":   {"time": $(cluster_field FleetThroughputSerial ns/op),   "throughput": $(cluster_field FleetThroughputSerial requests/s)},
-    "FleetThroughputLockstep": {"time": $(cluster_field FleetThroughputLockstep ns/op), "throughput": $(cluster_field FleetThroughputLockstep requests/s)},
     "FleetThroughputParallel": {"time": $(cluster_field FleetThroughputParallel ns/op), "throughput": $(cluster_field FleetThroughputParallel requests/s)},
     "FleetThroughputGateway":  {"time": $(cluster_field FleetThroughputGateway ns/op),  "throughput": $(cluster_field FleetThroughputGateway requests/s)},
     "routing_decision_ns": {
