@@ -46,8 +46,8 @@ func benchConfig(b *testing.B, parallel int) Config {
 }
 
 // benchmarkFleet runs one full fleet experiment per iteration and reports
-// routed requests per wall-second — the fleet-throughput number tracked in
-// BENCH_PR5.json and the CI bench-smoke job.
+// routed requests per wall-second — the fleet-throughput number first
+// recorded in BENCH_PR5.json; the CI bench-smoke job runs it once.
 func benchmarkFleet(b *testing.B, parallel int) {
 	cfg := benchConfig(b, parallel)
 	// Planner profiling dominates cold runs; warm one fleet first so the
@@ -141,7 +141,7 @@ func BenchmarkFleetRoutingDecision(b *testing.B) {
 			for i := 0; i < 8; i++ {
 				h := &replicaHandle{id: i}
 				for j := 0; j < 64; j++ {
-					h.lat.add(float64(5000 + i*100 + j))
+					h.lat.Add(float64(5000 + i*100 + j))
 				}
 				m.replicas = append(m.replicas, h)
 			}
@@ -164,7 +164,7 @@ func BenchmarkFleetRoutingDecision(b *testing.B) {
 // demand, prefill and decode tiers with KV handoffs between them. The
 // shared mode sizes every replica at the prefill knee; per-phase gives
 // decode its own (much smaller) right-size. tokens/s is generated tokens
-// per wall-second — the serving-throughput number tracked in
+// per wall-second — the serving-throughput number recorded in
 // BENCH_PR10.json.
 func BenchmarkLLMFleet(b *testing.B) {
 	model := llm.Small()
@@ -220,7 +220,7 @@ func BenchmarkLLMFleet(b *testing.B) {
 // BenchmarkFleetThroughputSerial: the identical fleet and trace fronted by
 // the resilience gateway with its default mechanisms (deadline admission,
 // breakers, hedging, retry budget) enabled. The delta between the two is
-// the whole-run cost of resilience — tracked in BENCH_PR6.json.
+// the whole-run cost of resilience — recorded in BENCH_PR6.json.
 func BenchmarkFleetThroughputGateway(b *testing.B) {
 	cfg := benchConfig(b, 1)
 	cfg.Gateway = &gateway.Config{}

@@ -439,6 +439,10 @@ func New(cfg Config) *Fleet {
 		return f.downFaults[i].At < f.downFaults[j].At
 	})
 
+	// Replicas are kernel-scoped partition instances: every node's command
+	// processors honour the per-kernel partition size.
+	nodeHSA := cfg.HSA
+	nodeHSA.KernelScoped = true
 	for i := 0; i < cfg.Nodes; i++ {
 		var plan *faults.Plan
 		if !nodePlans[i].Empty() {
@@ -451,7 +455,7 @@ func New(cfg Config) *Fleet {
 			up: true,
 			node: server.NewNode(server.NodeConfig{
 				Spec:      cfg.Spec,
-				HSA:       cfg.HSA,
+				HSA:       nodeHSA,
 				GPUs:      cfg.GPUsPerNode,
 				Index:     i,
 				Seed:      cfg.Seed + int64(i)*31337 + 7,

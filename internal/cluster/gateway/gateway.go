@@ -19,8 +19,8 @@ package gateway
 
 import (
 	"fmt"
-	"sort"
 
+	"krisp/internal/metrics"
 	"krisp/internal/sim"
 	"krisp/internal/telemetry"
 )
@@ -255,7 +255,7 @@ type tenantState struct {
 type modelState struct {
 	name  string
 	sloUs float64
-	lat   pctWindow // winning end-to-end latencies; drives the hedge delay
+	lat   metrics.P95Window // winning end-to-end latencies; drives the hedge delay
 }
 
 // track is the gateway's view of one in-flight logical request.
@@ -548,8 +548,8 @@ func (g *Gateway) OnPrimarySend(id uint64, model, tenantIdx, replica int, arriva
 // of winning end-to-end latencies scaled by HedgeDelayFactor, floored at
 // HedgeMinDelay. A cold window uses half the SLO.
 func (g *Gateway) HedgeDelay(model int) sim.Duration {
-	p95 := g.models[model].lat.p95()
-	if g.models[model].lat.n == 0 {
+	p95 := g.models[model].lat.P95()
+	if g.models[model].lat.Len() == 0 {
 		p95 = g.models[model].sloUs / 2
 	}
 	d := sim.Duration(g.cfg.HedgeDelayFactor * p95)
@@ -621,7 +621,7 @@ func (g *Gateway) OnCompletion(id uint64, replica int, end, now sim.Time) bool {
 
 	lat := float64(end - t.arrival)
 	m := &g.models[t.model]
-	m.lat.add(lat)
+	m.lat.Add(lat)
 	// The winner's breaker judges its own service: time from this copy's
 	// send to completion, against the SLO.
 	g.breakers[replica].Record(now, float64(end-copySent) <= m.sloUs)
@@ -777,42 +777,4 @@ func (s *Stats) String() string {
 		"admitted %d, shed %d (deadline %d, tenant-rate %d, overload %d, queue %d), hedges %d (wins %d), retries %d, budget-denied %d, breaker opens %d / closes %d",
 		s.Admitted, s.Shed(), s.ShedDeadline, s.ShedTenant, s.ShedOverload, s.ShedQueue,
 		s.Hedges, s.HedgeWins, s.Retries, s.BudgetDenied, s.BreakerOpens, s.BreakerCloses)
-}
-
-// pctWindow keeps the most recent winning latencies of one model and
-// serves their P95 with a lazily-sorted scratch copy (same scheme as the
-// router's per-replica windows).
-type pctWindow struct {
-	buf     [64]float64
-	n, next int
-	dirty   bool
-	p95v    float64
-}
-
-func (w *pctWindow) add(v float64) {
-	w.buf[w.next] = v
-	w.next = (w.next + 1) % len(w.buf)
-	if w.n < len(w.buf) {
-		w.n++
-	}
-	w.dirty = true
-}
-
-func (w *pctWindow) p95() float64 {
-	if w.n == 0 {
-		return 0
-	}
-	if w.dirty {
-		var scratch [64]float64
-		s := scratch[:w.n]
-		copy(s, w.buf[:w.n])
-		sort.Float64s(s)
-		idx := (w.n*95 + 99) / 100
-		if idx > 0 {
-			idx--
-		}
-		w.p95v = s[idx]
-		w.dirty = false
-	}
-	return w.p95v
 }

@@ -150,14 +150,14 @@ func TestSLOAwareWindowOutOfOrderCompletions(t *testing.T) {
 	rf, mf := absorb("fleet")
 	rh, mh := absorb("handle-major")
 	for h := 0; h < 2; h++ {
-		pf, ph := mf.replicas[h].lat.p95(), mh.replicas[h].lat.p95()
+		pf, ph := mf.replicas[h].lat.P95(), mh.replicas[h].lat.P95()
 		if pf != ph {
 			t.Fatalf("replica %d: P95 depends on cross-replica absorb order: %.1f vs %.1f", h, pf, ph)
 		}
 	}
-	if mf.replicas[0].lat.p95() >= mf.replicas[1].lat.p95() {
+	if mf.replicas[0].lat.P95() >= mf.replicas[1].lat.P95() {
 		t.Fatalf("window lost the slow replica after wraparound: P95 %.1f vs %.1f",
-			mf.replicas[0].lat.p95(), mf.replicas[1].lat.p95())
+			mf.replicas[0].lat.P95(), mf.replicas[1].lat.P95())
 	}
 	hf, hh := rf.pick(mf, 0, -1), rh.pick(mh, 0, -1)
 	if hf == nil || hh == nil || hf.id != hh.id {

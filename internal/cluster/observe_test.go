@@ -237,7 +237,7 @@ func obsRouterBench(sampleEvery int) (*router, *modelState, *fleetObserver) {
 	for i := 0; i < 8; i++ {
 		h := &replicaHandle{id: i}
 		for j := 0; j < 64; j++ {
-			h.lat.add(float64(5000 + i*100 + j))
+			h.lat.Add(float64(5000 + i*100 + j))
 		}
 		m.replicas = append(m.replicas, h)
 	}
@@ -263,8 +263,8 @@ func TestRouteJourneysOffZeroAlloc(t *testing.T) {
 	}
 }
 
-// BenchmarkRouteWithJourneys measures the routing decision under the three
-// sampling regimes the bench.sh overhead section tracks. The sampled
+// BenchmarkRouteWithJourneys measures the routing decision under three
+// journey-sampling regimes: off, 1%, and every request. The sampled
 // variants complete each journey immediately so the pooled records recycle,
 // as they do steady-state in a live fleet.
 func BenchmarkRouteWithJourneys(b *testing.B) {

@@ -61,69 +61,6 @@ func PolicyByName(name string) (Policy, error) {
 	return 0, fmt.Errorf("cluster: unknown routing policy %q", name)
 }
 
-// latWindow keeps the most recent completed-request latencies of one
-// replica and serves their P95 with a lazily-sorted scratch copy.
-type latWindow struct {
-	buf     [64]float64
-	n, next int
-	dirty   bool
-	p95v    float64
-}
-
-func (w *latWindow) add(v float64) {
-	w.buf[w.next] = v
-	w.next = (w.next + 1) % len(w.buf)
-	if w.n < len(w.buf) {
-		w.n++
-	}
-	w.dirty = true
-}
-
-// p95 returns the window's 95th percentile, 0 when empty. The percentile
-// index for n <= 64 samples is always within the top 4, so a single pass
-// keeping the k largest replaces the sorted-scratch approach — same value
-// (the k-th largest equals sorted[idx] even with duplicates), no copy, no
-// sort. The router recomputes this after every completion, which made it
-// one of the fleet's hottest non-simulation paths.
-func (w *latWindow) p95() float64 {
-	if w.n == 0 {
-		return 0
-	}
-	if w.dirty {
-		idx := (w.n*95 + 99) / 100
-		if idx > 0 {
-			idx--
-		}
-		k := w.n - idx // p95 is the k-th largest sample; k in [1,4]
-		var top [4]float64
-		m := 0
-		for _, v := range w.buf[:w.n] {
-			if m < k {
-				i := m
-				for i > 0 && top[i-1] > v {
-					top[i] = top[i-1]
-					i--
-				}
-				top[i] = v
-				m++
-				continue
-			}
-			if v <= top[0] {
-				continue
-			}
-			i := 0
-			for i+1 < k && top[i+1] < v {
-				top[i] = top[i+1]
-				i++
-			}
-			top[i] = v
-		}
-		w.p95v = top[0]
-		w.dirty = false
-	}
-	return w.p95v
-}
-
 // replicaHandle is the router's view of one placed gpulet. The outstanding
 // count is router-side accounting (incremented on route, decremented when
 // the completion is pulled) — the router never peeks into a node
@@ -150,7 +87,7 @@ type replicaHandle struct {
 
 	outstanding int
 	routed      int
-	lat         latWindow
+	lat         metrics.P95Window
 }
 
 func (h *replicaHandle) routable(now sim.Time) bool {
@@ -271,8 +208,8 @@ func newRouter(policy Policy, seed int64, outstandingCap, queueCap int, tel *fle
 // dead-silent replica — routed to, never completing — must not keep
 // winning on a flat neutral prior while its queue grows without bound.
 func predictUs(m *modelState, h *replicaHandle) float64 {
-	p95 := h.lat.p95()
-	if h.lat.n == 0 {
+	p95 := h.lat.P95()
+	if h.lat.Len() == 0 {
 		p95 = m.sloUs / 2 * (1 + float64(h.outstanding))
 	}
 	return p95 * (1 + float64(h.outstanding)/float64(m.batch))
@@ -285,8 +222,8 @@ func predictUs(m *modelState, h *replicaHandle) float64 {
 // replica sees at its steady-state depth, so only backlog beyond one
 // in-flight batch (true excess queue) escalates the estimate.
 func feasibleUs(m *modelState, h *replicaHandle) float64 {
-	p95 := h.lat.p95()
-	if h.lat.n == 0 {
+	p95 := h.lat.P95()
+	if h.lat.Len() == 0 {
 		p95 = m.sloUs / 2 * (1 + float64(h.outstanding))
 	}
 	excess := float64(h.outstanding - m.batch)
@@ -340,13 +277,10 @@ func (r *router) readySet(m *modelState, now sim.Time) []*replicaHandle {
 // pick selects a routable replica with admission headroom, or nil when
 // every candidate is at its outstanding cap (the request then queues).
 // exclude skips one replica id (hedge copies must land elsewhere); -1
-// excludes nothing. Without a gateway the candidate scan runs over the
-// phase-cached ready set; gateway picks (stateful breakers, hedge
-// exclusions) re-test routability per decision, exactly as before.
+// excludes nothing. Round-robin walks the rotation and stops at the first
+// fit; the other policies choose among candidates.
 func (r *router) pick(m *modelState, now sim.Time, exclude int) *replicaHandle {
-	cached := r.gw == nil && exclude < 0
-	switch r.policy {
-	case RoundRobin:
+	if r.policy == RoundRobin {
 		n := len(m.replicas)
 		for i := 0; i < n; i++ {
 			h := m.replicas[(m.rrNext+i)%n]
@@ -356,43 +290,19 @@ func (r *router) pick(m *modelState, now sim.Time, exclude int) *replicaHandle {
 			}
 		}
 		return nil
-
+	}
+	ready := r.candidates(m, now, exclude)
+	switch r.policy {
 	case LeastOutstanding:
 		var best *replicaHandle
-		if cached {
-			for _, h := range r.readySet(m, now) {
-				if h.outstanding >= r.outstandingCap {
-					continue
-				}
-				if best == nil || h.outstanding < best.outstanding {
-					best = h
-				}
-			}
-			return best
-		}
-		for _, h := range m.replicas {
-			if h.id == exclude || !h.accepts() || !h.routable(now) || h.outstanding >= r.outstandingCap {
-				continue
-			}
-			if best == nil || h.outstanding < best.outstanding {
+		for _, h := range ready {
+			if h.outstanding < r.outstandingCap && (best == nil || h.outstanding < best.outstanding) {
 				best = h
 			}
 		}
 		return best
 
 	case PowerOfTwo:
-		var ready []*replicaHandle
-		if cached {
-			ready = r.readySet(m, now)
-		} else {
-			ready = m.readyBuf[:0]
-			for _, h := range m.replicas {
-				if h.id != exclude && h.accepts() && h.routable(now) {
-					ready = append(ready, h)
-				}
-			}
-			m.readyBuf, m.cacheBuilt = ready, false
-		}
 		if len(ready) == 0 {
 			return nil
 		}
@@ -412,20 +322,8 @@ func (r *router) pick(m *modelState, now sim.Time, exclude int) *replicaHandle {
 	case SLOAware:
 		var best *replicaHandle
 		bestScore := 0.0
-		if cached {
-			for _, h := range r.readySet(m, now) {
-				if h.outstanding >= r.outstandingCap {
-					continue
-				}
-				score := predictUs(m, h)
-				if best == nil || score < bestScore || (score == bestScore && h.id < best.id) {
-					best, bestScore = h, score
-				}
-			}
-			return best
-		}
-		for _, h := range m.replicas {
-			if h.id == exclude || !h.accepts() || !h.routable(now) || h.outstanding >= r.outstandingCap {
+		for _, h := range ready {
+			if h.outstanding >= r.outstandingCap {
 				continue
 			}
 			score := predictUs(m, h)
@@ -438,6 +336,26 @@ func (r *router) pick(m *modelState, now sim.Time, exclude int) *replicaHandle {
 	default:
 		panic("cluster: unknown policy")
 	}
+}
+
+// candidates returns the replicas a pick may choose among. Without a
+// gateway and an exclusion it is the phase-cached ready set; otherwise
+// (stateful breakers, hedge exclusions) routability is re-tested per
+// decision, in exclude → accepts → routable order so Breaker.Allow fires
+// exactly as often as a short-circuiting scan would call it. The filtered
+// set reuses the cache's buffer and invalidates it.
+func (r *router) candidates(m *modelState, now sim.Time, exclude int) []*replicaHandle {
+	if r.gw == nil && exclude < 0 {
+		return r.readySet(m, now)
+	}
+	ready := m.readyBuf[:0]
+	for _, h := range m.replicas {
+		if h.id != exclude && h.accepts() && h.routable(now) {
+			ready = append(ready, h)
+		}
+	}
+	m.readyBuf, m.cacheBuilt = ready, false
+	return ready
 }
 
 // route admits one request that arrived at the given time: hand it to a
@@ -535,7 +453,7 @@ func (r *router) absorb(m *modelState, h *replicaHandle, c server.Completion, no
 		return
 	}
 	lat := float64(c.End - c.Arrival)
-	h.lat.add(lat)
+	h.lat.Add(lat)
 	if h.role == server.LLMRolePrefill && m.llm != nil {
 		// A finished prefill is not a served request yet: bill the KV
 		// transfer and queue the sequence for a decode replica. The journey

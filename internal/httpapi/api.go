@@ -112,6 +112,11 @@ func handleProfile(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, db.Entries())
 }
 
+// maxRatePerSec bounds SimulateRequest.RatePerSec. A million requests per
+// second is orders of magnitude past what any simulated configuration
+// serves, and finishes in well under a second of wall time.
+const maxRatePerSec = 1e6
+
 // SimulateRequest is the body of POST /v1/simulate.
 type SimulateRequest struct {
 	Model      string  `json:"model"`
@@ -168,8 +173,10 @@ func handleSimulate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "batch must be in [1,256], got %d", req.Batch)
 		return
 	}
-	if req.RatePerSec < 0 {
-		writeError(w, http.StatusBadRequest, "rate_per_sec must be >= 0, got %v", req.RatePerSec)
+	// The open-loop arrival queue grows with the offered rate, so an
+	// unbounded rate lets one request hold an unbounded amount of memory.
+	if req.RatePerSec < 0 || req.RatePerSec > maxRatePerSec {
+		writeError(w, http.StatusBadRequest, "rate_per_sec must be in [0,%.0f], got %v", maxRatePerSec, req.RatePerSec)
 		return
 	}
 

@@ -120,6 +120,7 @@ func TestSimulateValidation(t *testing.T) {
 		{"too many workers", `{"model":"albert","policy":"krisp-i","workers":17}`, http.StatusBadRequest},
 		{"huge batch", `{"model":"albert","policy":"krisp-i","workers":1,"batch":999}`, http.StatusBadRequest},
 		{"negative rate", `{"model":"albert","policy":"krisp-i","workers":1,"rate_per_sec":-5}`, http.StatusBadRequest},
+		{"huge rate", `{"model":"albert","policy":"krisp-i","workers":1,"rate_per_sec":1e8}`, http.StatusBadRequest},
 	}
 	for _, c := range cases {
 		if rec := post(t, "/v1/simulate", c.body); rec.Code != c.want {
@@ -134,6 +135,10 @@ func TestSimulateValidation(t *testing.T) {
 	rec = post(t, "/v1/simulate", `{"model":"albert","policy":"nope","workers":1}`)
 	if !strings.Contains(rec.Body.String(), "krisp-i") {
 		t.Errorf("unknown-policy error does not list policies: %s", rec.Body)
+	}
+	rec = post(t, "/v1/simulate", `{"model":"albert","policy":"krisp-i","workers":1,"rate_per_sec":1e8}`)
+	if !strings.Contains(rec.Body.String(), "[0,1000000]") {
+		t.Errorf("rate error does not name the valid range: %s", rec.Body)
 	}
 }
 

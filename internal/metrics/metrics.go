@@ -146,3 +146,71 @@ func Throughput(completed int, windowUs float64) float64 {
 	}
 	return float64(completed) / windowUs * 1e6
 }
+
+// P95Window keeps the 64 most recent observations and serves their 95th
+// percentile, cached until the next Add. The fleet's router keeps one per
+// replica and its gateway one per model; the router reads it after every
+// completion, which makes it one of the fleet's hottest non-simulation
+// paths. The zero value is an empty window.
+type P95Window struct {
+	buf     [64]float64
+	n, next int
+	dirty   bool
+	p95v    float64
+}
+
+// Add records one observation, evicting the oldest once the window is full.
+func (w *P95Window) Add(v float64) {
+	w.buf[w.next] = v
+	w.next = (w.next + 1) % len(w.buf)
+	if w.n < len(w.buf) {
+		w.n++
+	}
+	w.dirty = true
+}
+
+// Len returns the number of observations in the window.
+func (w *P95Window) Len() int { return w.n }
+
+// P95 returns the window's 95th percentile (nearest rank), 0 when empty.
+// For n <= 64 samples the percentile rank is always within the top 4, so
+// a single pass keeping the k largest gives sorted[idx] — duplicates
+// included — without a copy or a sort.
+func (w *P95Window) P95() float64 {
+	if w.n == 0 {
+		return 0
+	}
+	if w.dirty {
+		idx := (w.n*95 + 99) / 100
+		if idx > 0 {
+			idx--
+		}
+		k := w.n - idx // p95 is the k-th largest sample; k in [1,4]
+		var top [4]float64
+		m := 0
+		for _, v := range w.buf[:w.n] {
+			if m < k {
+				i := m
+				for i > 0 && top[i-1] > v {
+					top[i] = top[i-1]
+					i--
+				}
+				top[i] = v
+				m++
+				continue
+			}
+			if v <= top[0] {
+				continue
+			}
+			i := 0
+			for i+1 < k && top[i+1] < v {
+				top[i] = top[i+1]
+				i++
+			}
+			top[i] = v
+		}
+		w.p95v = top[0]
+		w.dirty = false
+	}
+	return w.p95v
+}

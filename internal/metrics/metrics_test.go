@@ -3,6 +3,7 @@ package metrics
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -168,5 +169,67 @@ func TestPercentileKeepsValuesOrder(t *testing.T) {
 	s.Add(0)
 	if got := s.Min(); got != 0 {
 		t.Errorf("Min after Add = %v, want 0", got)
+	}
+}
+
+// sortedP95 is the reference P95Window is checked against: copy the
+// window, sort it, read the nearest-rank 95th percentile.
+func sortedP95(vals []float64) float64 {
+	if len(vals) == 0 {
+		return 0
+	}
+	s := append([]float64(nil), vals...)
+	sort.Float64s(s)
+	idx := (len(s)*95 + 99) / 100
+	if idx > 0 {
+		idx--
+	}
+	return s[idx]
+}
+
+// TestP95WindowMatchesSortedReference drives the top-k window and the
+// sort-based reference with the same random sequences — short and past
+// the 64-slot wrap, with heavy duplicates — checking equality after most
+// Adds, plus the empty window, the slide and the cache invalidation.
+func TestP95WindowMatchesSortedReference(t *testing.T) {
+	var w P95Window
+	if got := w.P95(); got != 0 || w.Len() != 0 {
+		t.Fatalf("empty window: p95 %v len %d, want 0 and 0", got, w.Len())
+	}
+	for i := 1; i <= 100; i++ {
+		w.Add(float64(i))
+	}
+	// The window holds the last 64 values, 37..100; p95 is near the top.
+	got := w.P95()
+	if got < 95 || got > 100 || w.Len() != 64 {
+		t.Fatalf("p95 = %v len %d, want within [95, 100] and 64", got, w.Len())
+	}
+	// The cached value invalidates on Add.
+	w.Add(1e9)
+	if w.P95() <= got {
+		t.Fatal("p95 did not react to a new extreme sample")
+	}
+
+	rng := rand.New(rand.NewSource(7))
+	for seq := 0; seq < 2000; seq++ {
+		var w P95Window
+		var recent []float64
+		levels := 1 + rng.Intn(10) // few levels: many duplicates
+		for i, n := 0, 1+rng.Intn(150); i < n; i++ {
+			v := float64(rng.Intn(levels)) * 250
+			if rng.Intn(4) == 0 {
+				v = rng.Float64() * 1e4
+			}
+			w.Add(v)
+			if recent = append(recent, v); len(recent) > 64 {
+				recent = recent[1:]
+			}
+			if rng.Intn(3) == 0 {
+				continue // several Adds between reads
+			}
+			if got, want := w.P95(), sortedP95(recent); got != want {
+				t.Fatalf("sequence %d, add %d: p95 %v, sorted reference %v", seq, i, got, want)
+			}
+		}
 	}
 }

@@ -68,17 +68,17 @@ func (c *chaosHarness) observeBatch(latency float64) {
 
 // watchdog guards one in-flight batch: if the batch outlives the timeout,
 // the trip resets a stalled packet processor (the driver-level queue
-// reset), widens the worker's masks, and re-arms in case the batch is
+// reset), widens the runtime's masks, and re-arms in case the batch is
 // still wedged.
 type watchdog struct {
 	c  *chaosHarness
-	w  *worker
+	rt *core.Runtime
 	ev *sim.Event
 }
 
-// armWatchdog starts a watchdog for a batch beginning now on w.
-func (c *chaosHarness) armWatchdog(w *worker) *watchdog {
-	wd := &watchdog{c: c, w: w}
+// armWatchdog starts a watchdog for a batch beginning now on rt.
+func (c *chaosHarness) armWatchdog(rt *core.Runtime) *watchdog {
+	wd := &watchdog{c: c, rt: rt}
 	wd.ev = c.eng.After(c.batchTimeout, wd.trip)
 	return wd
 }
@@ -86,10 +86,10 @@ func (c *chaosHarness) armWatchdog(w *worker) *watchdog {
 func (wd *watchdog) trip() {
 	c := wd.c
 	c.stats.WatchdogTrips++
-	if wd.w.rt.Queue().ResetStall() {
+	if wd.rt.Queue().ResetStall() {
 		c.stats.WatchdogResets++
 	}
-	wd.w.rt.Widen()
+	wd.rt.Widen()
 	wd.ev = c.eng.After(c.batchTimeout, wd.trip)
 }
 

@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 
-	"krisp/internal/kernels"
 	"krisp/internal/metrics"
 	"krisp/internal/sim"
 )
@@ -60,7 +59,7 @@ func RunOpenLoop(cfg Config, arrival Arrival) OpenLoopResult {
 		arrival.Timeout = 500
 	}
 
-	// Build the shared stack exactly as Run does, but drive it open-loop.
+	// Build the node exactly as Run does, but drive it open-loop.
 	ol := &openLoop{arrival: arrival}
 	cfg.openLoop = ol
 	res := Run(cfg)
@@ -77,14 +76,15 @@ func RunOpenLoop(cfg Config, arrival Arrival) OpenLoopResult {
 	return out
 }
 
-// openLoop carries the shared arrival queue between Run and the workers.
+// openLoop carries the shared arrival queue between Run and the workers'
+// replicas.
 type openLoop struct {
 	arrival Arrival
 	rng     *rand.Rand
 	eng     *sim.Engine
 
 	queue   []sim.Time // arrival timestamps of waiting requests
-	waiting []*worker  // idle workers parked until work arrives
+	waiting []*Replica // idle replicas parked until work arrives
 
 	measureStart, measureEnd sim.Time
 	latency                  metrics.Sample
@@ -133,80 +133,39 @@ func (ol *openLoop) dispatch() {
 	}
 }
 
-// wake pops a worker and gives it a batch.
+// wake pops a parked replica and gives it a batch.
 func (ol *openLoop) wake() {
 	if len(ol.waiting) == 0 || len(ol.queue) == 0 {
 		return
 	}
-	w := ol.waiting[0]
+	r := ol.waiting[0]
 	ol.waiting = ol.waiting[1:]
 	n := len(ol.queue)
 	if n > ol.arrival.MaxBatch {
 		n = ol.arrival.MaxBatch
 	}
-	batch := make([]sim.Time, n)
-	copy(batch, ol.queue[:n])
+	batch := ol.queue[:n]
 	ol.queue = ol.queue[n:]
-	w.runOpenBatch(batch)
+	r.slot.h.submit(r, batch)
 }
 
-// park registers an idle worker and immediately retries dispatch.
-func (ol *openLoop) park(w *worker) {
-	ol.waiting = append(ol.waiting, w)
+// park registers an idle replica and immediately retries dispatch.
+func (ol *openLoop) park(r *Replica) {
+	ol.waiting = append(ol.waiting, r)
 	ol.dispatch()
 }
 
 // complete records a finished batch.
-func (ol *openLoop) complete(arrivals []sim.Time) {
+func (ol *openLoop) complete(batch []pending) {
 	now := ol.eng.Now()
 	ol.batches++
-	ol.served += len(arrivals)
+	ol.served += len(batch)
 	if now > ol.measureStart && now <= ol.measureEnd {
-		for _, at := range arrivals {
-			ol.latency.Add(now - at)
+		for _, p := range batch {
+			ol.latency.Add(now - p.arrival)
 			ol.completedInWindow++
 		}
 	}
-}
-
-// runOpenBatch serves one dynamically-formed batch on this worker.
-func (w *worker) runOpenBatch(arrivals []sim.Time) {
-	batchStart := w.eng.Now()
-	var wd *watchdog
-	if w.chaos != nil {
-		wd = w.chaos.armWatchdog(w)
-	}
-	w.eng.After(w.pre, func() {
-		descs := w.jitteredOpenKernels(len(arrivals))
-		w.rt.RunSequence(descs, func() {
-			w.eng.After(w.post, func() {
-				if wd != nil {
-					wd.stop()
-				}
-				end := w.eng.Now()
-				ol := w.openLoop
-				if w.chaos != nil {
-					w.chaos.observeBatch(end - batchStart)
-				}
-				w.tel.observeBatch(len(arrivals), batchStart, end)
-				ol.complete(arrivals)
-				if end > w.measureStart && end <= w.measureEnd {
-					w.stats.Batches++
-					w.stats.Requests += len(arrivals)
-					w.stats.BatchLatency.Add(end - arrivals[0])
-				}
-				ol.park(w)
-			})
-		})
-	})
-}
-
-// jitteredOpenKernels builds the kernel sequence for a (possibly partial)
-// batch with per-instance noise, reusing the worker's desc buffer. The
-// batch size varies per dispatch, so only the jittered copy is cached, not
-// the base sequence.
-func (w *worker) jitteredOpenKernels(batch int) []kernels.Desc {
-	return w.jittered(w.spec.Model.Kernels(batch))
 }
 
 // Utilization returns offered load relative to the single-worker service

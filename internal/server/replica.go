@@ -14,15 +14,16 @@ import (
 	"krisp/internal/telemetry"
 )
 
-// NodeConfig describes one persistent serving node: a multi-GPU stack that
-// is stepped externally instead of running one closed-loop experiment to
-// completion. The cluster layer (internal/cluster) builds one Node per
+// NodeConfig describes one serving node: a multi-GPU stack hosting
+// replicas. The cluster layer (internal/cluster) builds one Node per
 // simulated machine, posts cross-node requests to its mailbox, and
-// advances it with AdvanceTo whenever it has work due.
+// advances it with AdvanceTo whenever it has work due; the paper harness
+// (Run) serves its workers as replicas on one pooled Node per run.
 type NodeConfig struct {
 	// Spec is the device model for every GPU on the node; zero means MI50.
 	Spec gpu.DeviceSpec
-	// HSA is the runtime cost model; zero means hsa.DefaultConfig.
+	// HSA is the runtime cost model. Zero means hsa.DefaultConfig with
+	// KernelScoped on: replicas are kernel-scoped partition instances.
 	HSA hsa.Config
 	// GPUs is the number of devices on the node. Zero means 1.
 	GPUs int
@@ -62,11 +63,11 @@ type Node struct {
 	inj      *faults.Injector
 	replicas []*Replica
 
-	// replicaFree pools gracefully released replicas per GPU (a replica's
-	// runtime is bound to one command processor, so reuse never crosses
-	// devices). replicaSeq counts every AddReplica ever made and seeds the
-	// replica RNG — the same sequence len(replicas) produced before
-	// released replicas started leaving the live list.
+	// replicaFree pools released replicas per GPU (a replica's runtime is
+	// bound to one command processor, so reuse never crosses devices).
+	// replicaSeq counts the AddReplica calls since the node was built or
+	// reset and seeds the replica RNG — the same sequence len(replicas)
+	// produced before released replicas started leaving the live list.
 	replicaFree [][]*Replica
 	replicaSeq  int64
 
@@ -80,6 +81,10 @@ type Node struct {
 	mailSeq uint64
 	mailIdx int
 	pumpFn  func() // pre-bound pump callback, one per node, zero-alloc
+
+	// run is the paper harness's state while Run serves on this node; the
+	// fleet leaves it zero.
+	run harness
 
 	// descs caches built kernel sequences per (model, batch). Replicas
 	// come and go with autoscaler churn, but the sequences they run are
@@ -121,11 +126,19 @@ type gpuStack struct {
 // NewNode builds the node's devices and command processors and arms its
 // fault plan, if any. No replicas exist yet.
 func NewNode(cfg NodeConfig) *Node {
+	n := newNode(cfg.withDefaults())
+	n.armFaults()
+	return n
+}
+
+// withDefaults resolves the zero values of a node configuration.
+func (cfg NodeConfig) withDefaults() NodeConfig {
 	if cfg.Spec.Topo.TotalCUs() == 0 {
 		cfg.Spec = gpu.MI50Spec()
 	}
 	if cfg.HSA.PacketProcessTime == 0 {
 		cfg.HSA = hsa.DefaultConfig()
+		cfg.HSA.KernelScoped = true
 	}
 	if cfg.Power.IdleW == 0 && cfg.Power.PerCUW == 0 {
 		cfg.Power = energy.MI50Power()
@@ -145,37 +158,76 @@ func NewNode(cfg NodeConfig) *Node {
 	case cfg.Jitter < 0:
 		cfg.Jitter = 0
 	}
+	return cfg
+}
 
-	n := &Node{cfg: cfg, eng: sim.New()}
-	hsaCfg := cfg.HSA
-	hsaCfg.KernelScoped = true // replicas are kernel-scoped partition instances
-	if !cfg.Faults.Empty() {
-		n.inj = faults.NewInjector(n.eng, *cfg.Faults)
-		n.inj.SetTelemetry(faults.NewTelemetry(cfg.Telemetry))
-	}
+// newNode builds the stacks of a defaulted configuration without arming
+// the fault plan: the paper harness arms it only after its replicas'
+// queue-mask IOCTLs are scheduled.
+func newNode(cfg NodeConfig) *Node {
+	n := &Node{eng: sim.New()}
 	n.gpus = make([]gpuStack, cfg.GPUs)
 	for g := range n.gpus {
 		meter := energy.NewMeter(cfg.Power)
 		dev := gpu.NewDevice(n.eng, cfg.Spec, meter)
-		cp := hsa.NewCommandProcessor(n.eng, dev, hsaCfg)
-		if n.inj != nil {
-			cp.SetFaults(n.inj)
-		}
+		cp := hsa.NewCommandProcessor(n.eng, dev, cfg.HSA)
 		id := cfg.Index*cfg.GPUs + g
 		dev.SetTelemetry(gpu.NewTelemetry(cfg.Telemetry, cfg.Spec.Topo, id))
 		cp.SetTelemetry(hsa.NewTelemetry(cfg.Telemetry, id))
 		n.gpus[g] = gpuStack{meter: meter, dev: dev, cp: cp}
 	}
-	if n.inj != nil {
-		devs := make([]*gpu.Device, cfg.GPUs)
-		cps := make([]*hsa.CommandProcessor, cfg.GPUs)
-		for g := range n.gpus {
-			devs[g] = n.gpus[g].dev
-			cps[g] = n.gpus[g].cp
-		}
-		n.inj.Arm(devs, cps)
-	}
+	n.configure(cfg)
 	return n
+}
+
+// configure installs a defaulted configuration's per-run state: the
+// configuration itself and, for a non-empty fault plan, a fresh injector
+// wired into every command processor.
+func (n *Node) configure(cfg NodeConfig) {
+	n.cfg = cfg
+	n.inj = nil
+	if !cfg.Faults.Empty() {
+		n.inj = faults.NewInjector(n.eng, *cfg.Faults)
+		n.inj.SetTelemetry(faults.NewTelemetry(cfg.Telemetry))
+		for _, g := range n.gpus {
+			g.cp.SetFaults(n.inj)
+		}
+	}
+}
+
+// armFaults schedules the fault plan's timeline on the node's clock.
+func (n *Node) armFaults() {
+	if n.inj == nil {
+		return
+	}
+	devs := make([]*gpu.Device, len(n.gpus))
+	cps := make([]*hsa.CommandProcessor, len(n.gpus))
+	for g := range n.gpus {
+		devs[g] = n.gpus[g].dev
+		cps[g] = n.gpus[g].cp
+	}
+	n.inj.Arm(devs, cps)
+}
+
+// reset returns a node to its just-built state under a configuration with
+// the same stack shape (device spec, HSA cost model, power model, GPU
+// count): the engine, devices, meters and command processors are reset in
+// place and every replica parks on its GPU's free list, so the next
+// AddReplica calls recycle them with the seeds a fresh node would give.
+func (n *Node) reset(cfg NodeConfig) {
+	n.eng.Reset()
+	for _, g := range n.gpus {
+		g.dev.Reset()
+		g.meter.Rezero()
+		g.cp.Reset()
+	}
+	for i, r := range n.replicas {
+		n.park(r)
+		n.replicas[i] = nil
+	}
+	n.replicas = n.replicas[:0]
+	n.replicaSeq = 0
+	n.configure(cfg)
 }
 
 // Now returns the node's virtual clock.
@@ -335,6 +387,16 @@ type ReplicaSpec struct {
 	// autoregressive engine (see LLMSpec). Batch is then overridden by
 	// LLM.MaxSeqs and requests arrive via SubmitSeq.
 	LLM *LLMSpec
+
+	// The paper harness serves each worker's policy assignment; the fleet
+	// leaves these zero. runtime replaces the native kernel-scoped runtime
+	// configuration (the harness sets the policy's mode and the worker's
+	// trace, hardening and core telemetry); queueMask, unless empty or the
+	// full device, is applied to the stream by a CU-mask IOCTL; sizer
+	// replaces the fixed CUs-wide right-sizer with kernel-wise right-sizing.
+	runtime   *core.Config
+	queueMask gpu.CUMask
+	sizer     *core.RightSizer
 }
 
 // Completion is one finished request, reported in node-local virtual time.
@@ -434,6 +496,11 @@ type Replica struct {
 	// continuous-batching token loop (see llm.go). The classic queue holds
 	// waiting sequences; busy covers the in-flight token step.
 	llm *llmEngine
+
+	// slot, when non-nil, is the paper harness's per-worker state: each
+	// finished batch goes to its batchDone hook instead of the completion
+	// list the fleet pulls.
+	slot *workerSlot
 }
 
 // AddReplica creates a replica on the node. The spec's GPU must exist.
@@ -465,14 +532,23 @@ func (n *Node) AddReplica(spec ReplicaSpec) *Replica {
 	}
 	stack := n.gpus[spec.GPU]
 	q := stack.cp.NewQueue()
+	if !spec.queueMask.IsEmpty() && !spec.queueMask.Equal(gpu.FullMask(n.cfg.Spec.Topo)) {
+		q.SetCUMask(spec.queueMask, nil)
+	}
 	rtCfg := core.Config{
 		Mode:         core.ModeNative,
 		OverlapLimit: spec.OverlapLimit,
 		Device:       n.cfg.Index*n.cfg.GPUs + spec.GPU,
 	}
+	if spec.runtime != nil {
+		rtCfg = *spec.runtime
+	}
 	seed := n.cfg.Seed + n.replicaSeq*7919 + 1
 	n.replicaSeq++
-	sizer := core.NewFixedRightSizer(spec.CUs, total)
+	sizer := spec.sizer
+	if sizer == nil {
+		sizer = core.NewFixedRightSizer(spec.CUs, total)
+	}
 	if l := spec.LLM; l != nil && (l.PrefillCUs > 0 || l.DecodeCUs > 0) {
 		// Kernel-wise per-phase right-sizing: prefill kernels get one
 		// partition size, decode kernels another, untagged kernels the
@@ -546,11 +622,21 @@ func (r *Replica) Release() {
 			break
 		}
 	}
+	n.park(r)
+}
+
+// park clears a replica's serving state and puts it on its GPU's free
+// list for a later AddReplica.
+func (n *Node) park(r *Replica) {
 	r.queue = r.queue[:0]
+	r.inflight = r.inflight[:0]
+	r.completions = r.completions[:0]
 	r.busy = false
 	r.draining = false
+	r.killed = false
 	r.stats = ReplicaStats{}
 	r.curBatch = 0
+	r.slot = nil
 	if n.replicaFree == nil {
 		n.replicaFree = make([][]*Replica, len(n.gpus))
 	}
@@ -759,26 +845,43 @@ func (r *Replica) seqDone() {
 // postDone closes out the batch, records completions, and starts the next
 // batch if requests queued up meanwhile.
 func (r *Replica) postDone() {
-	r.busy = false
 	if r.killed {
+		r.busy = false
 		r.inflight = r.inflight[:0]
 		return
 	}
-	end := r.node.eng.Now()
-	served := 0
-	for _, p := range r.inflight {
-		r.completions = append(r.completions, Completion{
-			ID: p.id, Arrival: p.arrival, End: end, Cancelled: p.cancelled,
-			Enqueued: p.enq, BatchStart: r.curStart,
-			KernelStart: r.curKernStart, KernelEnd: r.curKernEnd,
-		})
-		if !p.cancelled {
-			served++
+	if r.slot != nil {
+		// The harness hook reads the finished batch and may submit the
+		// next one; busy is still set, so that submit only enqueues and
+		// maybeStart below launches it.
+		r.slot.batchDone(r)
+	} else {
+		end := r.node.eng.Now()
+		served := 0
+		for _, p := range r.inflight {
+			r.completions = append(r.completions, Completion{
+				ID: p.id, Arrival: p.arrival, End: end, Cancelled: p.cancelled,
+				Enqueued: p.enq, BatchStart: r.curStart,
+				KernelStart: r.curKernStart, KernelEnd: r.curKernEnd,
+			})
+			if !p.cancelled {
+				served++
+			}
 		}
+		r.stats.CompletedBatches++
+		r.stats.CompletedRequests += served
 	}
-	r.stats.CompletedBatches++
-	r.stats.CompletedRequests += served
+	r.busy = false
 	r.inflight = r.inflight[:0]
+	r.maybeStart()
+}
+
+// submitBatch enqueues one untracked request per arrival stamp and starts
+// a batch if the replica is idle: the paper harness's batch submit.
+func (r *Replica) submitBatch(arrivals []sim.Time) {
+	for _, at := range arrivals {
+		r.queue = append(r.queue, pending{arrival: at, enq: at})
+	}
 	r.maybeStart()
 }
 

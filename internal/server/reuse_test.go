@@ -10,7 +10,7 @@ import (
 	"krisp/internal/policies"
 )
 
-// reuseScenarios are the configurations the run-context reuse path must
+// reuseScenarios are the configurations the pooled-node reuse path must
 // replay byte-identically: a plain KRISP-I serve, a multi-worker
 // multi-GPU contention case, and a chaos run whose fault timeline
 // exercises the hardened path (watchdogs, retries, queue resets) on a
@@ -92,34 +92,35 @@ func (p *stackPool) Put(x any) {
 }
 
 // TestRunReuseDeterministic is the zero-alloc lifecycle's correctness
-// oracle: a run on a freshly built context and the same run replayed on a
-// pooled, reset-in-place context must produce byte-identical Results —
-// stats, latency samples, energy, and fault counters included. Run under
-// -race in CI, this also proves the pool hands out exclusive contexts.
+// oracle: a run on a freshly built node and the same run replayed on a
+// pooled node, reset in place with its replicas recycled, must produce
+// byte-identical Results — stats, latency samples, energy, and fault
+// counters included. Run under -race in CI, this also proves the pool
+// hands out exclusive nodes.
 func TestRunReuseDeterministic(t *testing.T) {
-	defer func(p statePool) { runPool = p }(runPool)
+	defer func(p statePool) { nodePool = p }(nodePool)
 	for name, mk := range reuseScenarios(t) {
 		t.Run(name, func(t *testing.T) {
-			// Empty the pool so the first run builds its context from
+			// Empty the pool so the first run builds its node from
 			// scratch, and use a deterministic pool so the reruns are
 			// guaranteed to hit the reset path.
-			runPool = &stackPool{}
+			nodePool = &stackPool{}
 			fresh := Run(mk())
 			if fresh.TotalRequests() == 0 {
 				t.Fatal("degenerate scenario: nothing completed")
 			}
-			if st, _ := runPool.Get().(*runState); st == nil {
-				t.Fatal("run did not return its context to the pool")
+			if n, _ := nodePool.Get().(*Node); n == nil {
+				t.Fatal("run did not return its node to the pool")
 			} else {
-				runPool.Put(st)
+				nodePool.Put(n)
 			}
 			for i := 0; i < 3; i++ {
 				if got := Run(mk()); !reflect.DeepEqual(got, fresh) {
-					t.Fatalf("rerun %d on pooled context diverged:\nfresh: %+v\npooled: %+v", i, fresh, got)
+					t.Fatalf("rerun %d on pooled node diverged:\nfresh: %+v\npooled: %+v", i, fresh, got)
 				}
 			}
 			// A shape change must rebuild rather than misuse the pooled
-			// context — and the original shape must still replay exactly
+			// node — and the original shape must still replay exactly
 			// afterwards.
 			other := mk()
 			other.GPUs += 1
@@ -127,13 +128,24 @@ func TestRunReuseDeterministic(t *testing.T) {
 			if got := Run(mk()); !reflect.DeepEqual(got, fresh) {
 				t.Fatal("run after a shape change diverged from the fresh result")
 			}
+			// A same-shape run with another workload leaves replicas of
+			// other models, batches and count on the free lists; the
+			// original must still replay exactly on the recycled node.
+			other = mk()
+			other.Workers = append([]WorkerSpec{{Model: mustModel(t, "alexnet"), Batch: 8}}, other.Workers...)
+			other.Seed++
+			Run(other)
+			if got := Run(mk()); !reflect.DeepEqual(got, fresh) {
+				t.Fatal("run after another workload on the pooled node diverged from the fresh result")
+			}
 		})
 	}
 }
 
-// TestNodeReplicaReuseDeterministic drives the fleet-side twin: a node
-// whose replicas are drained, released, and respawned from the pool must
-// serve exactly like one that builds every replica fresh.
+// TestNodeReplicaReuseDeterministic drives the fleet's side of the same
+// free list: a node whose replicas are drained, released, and respawned
+// from the pool must serve exactly like one that builds every replica
+// fresh.
 func TestNodeReplicaReuseDeterministic(t *testing.T) {
 	m, ok := models.ByName("squeezenet")
 	if !ok {

@@ -1,56 +1,10 @@
 package server
 
-import (
-	"sync"
+import "sync"
 
-	"krisp/internal/core"
-	"krisp/internal/energy"
-	"krisp/internal/gpu"
-	"krisp/internal/hsa"
-	"krisp/internal/policies"
-	"krisp/internal/sim"
-	"krisp/internal/telemetry"
-)
-
-// runShape fingerprints everything baked into a pooled run context at
-// construction time and not reset between runs: the device spec a Device
-// is sized for, the HSA cost model a command processor is configured with,
-// the power model inside each meter, and the stack fan-out. Two configs
-// with equal shapes can share a context; anything else (seeds, windows,
-// policies, jitter, faults) is per-run state the reuse path reapplies.
-type runShape struct {
-	spec    gpu.DeviceSpec
-	hsa     hsa.Config
-	power   energy.Model
-	gpus    int
-	workers int
-}
-
-// runState is the reusable context behind Run: the engine, per-GPU stacks,
-// worker slots, and the scratch slices the setup phase fills. Pooling it
-// drives the serve lifecycle's steady-state allocations toward zero — a
-// rerun resets every component in place (engine heap, device counters,
-// meters, queues, runtimes, worker RNGs) instead of rebuilding the stack.
-type runState struct {
-	shape    runShape
-	poolable bool
-
-	eng      *sim.Engine
-	gpus     []gpuStack
-	coreTels []*core.Telemetry
-	workers  []*worker
-
-	// Setup scratch, reused across runs.
-	rightSizes  []int
-	perGPU      [][]int
-	assignments []policies.Assignment
-	devs        []*gpu.Device
-	cps         []*hsa.CommandProcessor
-}
-
-// statePool is the interface runPool is held behind. Production uses
-// sync.Pool (exclusive Gets under concurrent runs, idle contexts fall to
-// the garbage collector); the reuse-determinism test substitutes a
+// statePool is the interface nodePool is held behind. Production uses
+// sync.Pool (exclusive Gets under concurrent runs, idle nodes fall to the
+// garbage collector); the reuse-determinism test substitutes a
 // stack-backed pool, because under the race detector sync.Pool drops a
 // quarter of Puts on purpose and "did the rerun hit the reset path"
 // becomes unobservable.
@@ -59,76 +13,35 @@ type statePool interface {
 	Put(any)
 }
 
-// runPool recycles run contexts across Run invocations.
-var runPool statePool = &sync.Pool{}
+// nodePool recycles the paper harness's nodes across Run invocations.
+// Pooling drives the serve lifecycle's steady-state allocations toward
+// zero: a rerun resets the engine heap, devices, meters and queues in
+// place and recycles the previous run's replicas (runtimes, RNGs, kernel
+// buffers) instead of rebuilding the stack.
+var nodePool statePool = &sync.Pool{}
 
-// acquireRun returns a run context for the given shape: a pooled one reset
-// in place when available, a freshly built one otherwise. Telemetry runs
-// are never pooled — their stack wiring holds per-hub handles — so they
-// build fresh and are discarded on release.
-func acquireRun(shape runShape, hub *telemetry.Hub) *runState {
-	poolable := hub == nil
-	if poolable {
-		if v := runPool.Get(); v != nil {
-			st := v.(*runState)
-			if st.shape == shape {
-				st.reset()
-				return st
+// acquireNode returns a node for a defaulted configuration: a pooled one
+// with the same stack shape, reset in place, when available, a freshly
+// built one otherwise. The fault plan is left unarmed. Telemetry runs are
+// never pooled — their stack wiring holds per-hub handles.
+func acquireNode(cfg NodeConfig) *Node {
+	if cfg.Telemetry == nil {
+		if v := nodePool.Get(); v != nil {
+			n := v.(*Node)
+			if n.cfg.Spec == cfg.Spec && n.cfg.HSA == cfg.HSA && n.cfg.Power == cfg.Power && n.cfg.GPUs == cfg.GPUs {
+				n.reset(cfg)
+				return n
 			}
-			// Shape mismatch: drop the stale context and build fresh.
+			// Shape mismatch: drop the stale node and build fresh.
 		}
 	}
-	st := &runState{shape: shape, poolable: poolable, eng: sim.New()}
-	st.gpus = make([]gpuStack, shape.gpus)
-	st.coreTels = make([]*core.Telemetry, shape.gpus)
-	for g := range st.gpus {
-		meter := energy.NewMeter(shape.power)
-		dev := gpu.NewDevice(st.eng, shape.spec, meter)
-		cp := hsa.NewCommandProcessor(st.eng, dev, shape.hsa)
-		// The telemetry constructors return nil on a nil hub, so this
-		// wiring is unconditional and installs nothing when telemetry is
-		// off.
-		dev.SetTelemetry(gpu.NewTelemetry(hub, shape.spec.Topo, g))
-		cp.SetTelemetry(hsa.NewTelemetry(hub, g))
-		st.coreTels[g] = core.NewTelemetry(hub, g)
-		st.gpus[g] = gpuStack{meter: meter, dev: dev, cp: cp}
-	}
-	st.workers = make([]*worker, shape.workers)
-	for i := range st.workers {
-		st.workers[i] = &worker{}
-	}
-	return st
+	return newNode(cfg)
 }
 
-// reset returns a pooled context to its just-built state: the engine heap
-// is recycled, devices and meters rezeroed, queues parked on their
-// processors' free lists. Worker slots are re-initialized by the setup
-// loop in Run, which overwrites every per-run field.
-func (st *runState) reset() {
-	st.eng.Reset()
-	for _, g := range st.gpus {
-		g.dev.Reset()
-		g.meter.Rezero()
-		g.cp.Reset()
+// releaseNode returns a node to the pool. Only called on the normal exit
+// path — a panicked run never re-pools its half-mutated node.
+func releaseNode(n *Node) {
+	if n.cfg.Telemetry == nil {
+		nodePool.Put(n)
 	}
-}
-
-// release returns the context to the pool. Only called on the normal exit
-// path — a panicked run never re-pools its half-mutated context.
-func (st *runState) release() {
-	if st.poolable {
-		runPool.Put(st)
-	}
-}
-
-// scratchInts returns buf resized to n, reusing its backing array.
-func scratchInts(buf []int, n int) []int {
-	if cap(buf) < n {
-		return make([]int, n)
-	}
-	buf = buf[:n]
-	for i := range buf {
-		buf[i] = 0
-	}
-	return buf
 }

@@ -2,7 +2,8 @@
 // a frontend feeding per-worker request queues, and independent workers
 // that each own one GPU stream (HSA queue) and process batches back to
 // back — pre-processing, an inference pass of hundreds of kernel calls,
-// then post-processing.
+// then post-processing. Each worker is a Replica on a Node, the same
+// serving stack the fleet (internal/cluster) steps externally.
 //
 // Matching the paper's methodology, the load generator is closed-loop and
 // drives the server at maximum load: every worker always has a batch ready.
@@ -15,14 +16,12 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"math/rand"
 
 	"krisp/internal/core"
 	"krisp/internal/energy"
 	"krisp/internal/faults"
 	"krisp/internal/gpu"
 	"krisp/internal/hsa"
-	"krisp/internal/kernels"
 	"krisp/internal/metrics"
 	"krisp/internal/models"
 	"krisp/internal/policies"
@@ -186,32 +185,20 @@ func BuildDB(spec gpu.DeviceSpec, workers []WorkerSpec) *profile.DB {
 }
 
 // Run executes one serving experiment and returns windowed measurements.
+// The workers are replicas on one Node: worker i is the i-th replica,
+// placed on GPU i mod GPUs, and its policy assignment sets the replica's
+// runtime mode, stream mask and right-sizer.
 func Run(cfg Config) Result {
 	if len(cfg.Workers) == 0 {
 		panic("server: no workers")
 	}
-	if cfg.Spec.Topo.TotalCUs() == 0 {
-		cfg.Spec = gpu.MI50Spec()
-	}
-	if cfg.HSA.PacketProcessTime == 0 {
-		cfg.HSA = hsa.DefaultConfig()
-	}
-	if cfg.Power.IdleW == 0 && cfg.Power.PerCUW == 0 {
-		cfg.Power = energy.MI50Power()
-	}
-	if cfg.PreprocessUs == 0 {
-		cfg.PreprocessUs = 150
-	}
-	if cfg.PostprocessUs == 0 {
-		cfg.PostprocessUs = 80
-	}
-	switch {
-	case cfg.Jitter == 0:
-		cfg.Jitter = 0.04
-	case cfg.Jitter < 0:
-		cfg.Jitter = 0
-	}
-
+	nc := NodeConfig{
+		Spec: cfg.Spec, HSA: cfg.HSA, GPUs: cfg.GPUs, Power: cfg.Power, Seed: cfg.Seed,
+		PreprocessUs: cfg.PreprocessUs, PostprocessUs: cfg.PostprocessUs, Jitter: cfg.Jitter,
+		Telemetry: cfg.Telemetry, Faults: cfg.Faults,
+	}.withDefaults()
+	nc.HSA.KernelScoped = cfg.Policy.KernelScoped() && !cfg.ForceEmulation
+	topo := nc.Spec.Topo
 	chaosArmed := !cfg.Faults.Empty()
 
 	// The profiler backs window auto-sizing and on-the-fly right-sizing;
@@ -221,7 +208,7 @@ func Run(cfg Config) Result {
 	var prof *profile.Profiler
 	getProf := func() *profile.Profiler {
 		if prof == nil {
-			prof = profile.New(profile.Config{Spec: cfg.Spec, Tolerance: 0.05, LaunchOverhead: cfg.HSA.PacketProcessTime})
+			prof = profile.New(profile.Config{Spec: nc.Spec, Tolerance: 0.05, LaunchOverhead: nc.HSA.PacketProcessTime})
 		}
 		return prof
 	}
@@ -231,11 +218,11 @@ func Run(cfg Config) Result {
 	var slowest sim.Duration
 	if cfg.Warmup == 0 || cfg.Measure == 0 || chaosArmed {
 		for _, w := range cfg.Workers {
-			if l := getProf().ModelLatency(w.Model.Kernels(w.Batch), cfg.Spec.Topo.TotalCUs()); l > slowest {
+			if l := getProf().ModelLatency(w.Model.Kernels(w.Batch), topo.TotalCUs()); l > slowest {
 				slowest = l
 			}
 		}
-		slowest += cfg.PreprocessUs + cfg.PostprocessUs
+		slowest += nc.PreprocessUs + nc.PostprocessUs
 	}
 	if cfg.Warmup == 0 {
 		cfg.Warmup = 5 * slowest
@@ -249,34 +236,26 @@ func Run(cfg Config) Result {
 		cfg.Measure = 180 * slowest * scale
 	}
 
-	numGPUs := cfg.GPUs
-	if numGPUs < 1 {
-		numGPUs = 1
+	// The run's state lives on its node, so a pooled node's rerun reuses
+	// the setup buffers and worker slots.
+	n := acquireNode(nc)
+	eng := n.eng
+	h := &n.run
+	*h = harness{
+		eng:          eng,
+		measureStart: cfg.Warmup,
+		measureEnd:   cfg.Warmup + cfg.Measure,
+		ol:           cfg.openLoop,
+		now:          h.now,
+		rightSizes:   resized(h.rightSizes, len(cfg.Workers)),
+		assignments:  resized(h.assignments, len(cfg.Workers)),
+		slots:        resized(h.slots, len(cfg.Workers)),
 	}
-	hsaCfg := cfg.HSA
-	hsaCfg.KernelScoped = cfg.Policy.KernelScoped() && !cfg.ForceEmulation
-
-	// Acquire the run context: engine, per-GPU stacks, worker slots. A
-	// pooled context with a matching shape is reset in place; everything
-	// below reapplies the per-run configuration on top of it.
-	st := acquireRun(runShape{
-		spec:    cfg.Spec,
-		hsa:     hsaCfg,
-		power:   cfg.Power,
-		gpus:    numGPUs,
-		workers: len(cfg.Workers),
-	}, cfg.Telemetry)
-	eng := st.eng
-	gpus := st.gpus
-	if cfg.Ctx != nil {
-		ctx := cfg.Ctx
-		eng.SetInterrupt(func() bool { return ctx.Err() != nil })
-	}
+	rightSizes, assignments, slots := h.rightSizes, h.assignments, h.slots
 
 	// Per-worker model right-sizes feed the model-granular policies.
-	rightSizes := scratchInts(st.rightSizes, len(cfg.Workers))
-	st.rightSizes = rightSizes
-	if cfg.Policy == policies.ModelRightSize || cfg.Policy == policies.MRSRequest {
+	modelGranular := cfg.Policy == policies.ModelRightSize || cfg.Policy == policies.MRSRequest
+	if modelGranular {
 		cache := map[string]int{}
 		for i, w := range cfg.Workers {
 			key := fmt.Sprintf("%s/%d", w.Model.Name, w.Batch)
@@ -294,166 +273,105 @@ func Run(cfg Config) Result {
 
 	db := cfg.DB
 	if db == nil && cfg.Policy.KernelScoped() {
-		db = BuildDB(cfg.Spec, cfg.Workers)
+		db = BuildDB(nc.Spec, cfg.Workers)
 	}
 
 	// Workers spread over devices round-robin; partitioning policies are
 	// applied independently per device (a spatial partition never spans
 	// GPUs).
-	if cap(st.perGPU) < numGPUs {
-		st.perGPU = make([][]int, numGPUs)
-	}
-	perGPU := st.perGPU[:numGPUs] // worker indices per device
-	for g := range perGPU {
-		perGPU[g] = perGPU[g][:0]
-	}
-	for i := range cfg.Workers {
-		g := i % numGPUs
-		perGPU[g] = append(perGPU[g], i)
-	}
-	if cap(st.assignments) < len(cfg.Workers) {
-		st.assignments = make([]policies.Assignment, len(cfg.Workers))
-	}
-	assignments := st.assignments[:len(cfg.Workers)]
 	anyOversub := false
-	for _, idxs := range perGPU {
-		if len(idxs) == 0 {
-			continue
+	for g := 0; g < nc.GPUs && g < len(cfg.Workers); g++ {
+		var rs []int
+		for i := g; i < len(cfg.Workers); i += nc.GPUs {
+			rs = append(rs, rightSizes[i])
 		}
-		rs := make([]int, len(idxs))
-		for j, wi := range idxs {
-			rs[j] = rightSizes[wi]
+		as := policies.Assign(cfg.Policy, topo, rs)
+		for j := range as {
+			assignments[g+j*nc.GPUs] = as[j]
 		}
-		as := policies.Assign(cfg.Policy, cfg.Spec.Topo, rs)
-		for j, wi := range idxs {
-			assignments[wi] = as[j]
-		}
-		if policies.Oversubscribed(cfg.Spec.Topo, as) {
+		if policies.Oversubscribed(topo, as) {
 			anyOversub = true
 		}
 	}
-	if cfg.OverlapLimit != nil {
-		for i := range assignments {
-			if assignments[i].Mode == core.ModeNative {
-				assignments[i].OverlapLimit = *cfg.OverlapLimit
-			}
+
+	if cfg.Ctx != nil {
+		ctx := cfg.Ctx
+		eng.SetInterrupt(func() bool { return ctx.Err() != nil })
+	}
+	var hardening *core.Hardening
+	if n.inj != nil {
+		hardening = &core.Hardening{
+			MaxRetries:         n.inj.MaxRetries(),
+			RetryBackoff:       n.inj.RetryBackoff(),
+			IOCTLFailureStreak: n.inj.IOCTLFailureStreak(),
+			Stats:              &n.inj.Stats,
 		}
 	}
-
-	var inj *faults.Injector
-	if chaosArmed {
-		inj = faults.NewInjector(eng, *cfg.Faults)
-		for _, g := range gpus {
-			g.cp.SetFaults(inj)
+	var coreTels []*core.Telemetry
+	if cfg.Telemetry != nil {
+		coreTels = make([]*core.Telemetry, nc.GPUs)
+		for g := range coreTels {
+			coreTels[g] = core.NewTelemetry(cfg.Telemetry, g)
 		}
-		inj.SetTelemetry(faults.NewTelemetry(cfg.Telemetry))
 	}
-	rs := core.NewRightSizer(db, cfg.Spec.Topo.TotalCUs())
+	rs := core.NewRightSizer(db, topo.TotalCUs())
 
-	measureStart := cfg.Warmup
-	measureEnd := cfg.Warmup + cfg.Measure
-
-	workers := st.workers
-	for i, spec := range cfg.Workers {
+	for i, w := range cfg.Workers {
 		a := assignments[i]
-		stack := gpus[i%numGPUs]
-		mode := a.Mode
-		if cfg.ForceEmulation && mode == core.ModeNative {
-			mode = core.ModeEmulated
+		if cfg.OverlapLimit != nil && a.Mode == core.ModeNative {
+			a.OverlapLimit = *cfg.OverlapLimit
 		}
-		q := stack.cp.NewQueue()
-		if !a.QueueMask.IsEmpty() && !a.QueueMask.Equal(gpu.FullMask(cfg.Spec.Topo)) {
-			q.SetCUMask(a.QueueMask, nil)
+		g := i % nc.GPUs
+		s := &slots[i]
+		s.runtime = core.Config{Mode: a.Mode, OverlapLimit: a.OverlapLimit, Device: g, Hardening: hardening}
+		if cfg.ForceEmulation && a.Mode == core.ModeNative {
+			s.runtime.Mode = core.ModeEmulated
 		}
-		rtCfg := core.Config{
-			Mode:         mode,
-			OverlapLimit: a.OverlapLimit,
-			Device:       i % numGPUs,
-			Telemetry:    st.coreTels[i%numGPUs],
+		if coreTels != nil {
+			s.runtime.Telemetry = coreTels[g]
 		}
 		if i == 0 {
-			rtCfg.Trace = cfg.Trace
+			s.runtime.Trace = cfg.Trace
 		}
-		if inj != nil {
-			rtCfg.Hardening = &core.Hardening{
-				MaxRetries:         inj.MaxRetries(),
-				RetryBackoff:       inj.RetryBackoff(),
-				IOCTLFailureStreak: inj.IOCTLFailureStreak(),
-				Stats:              &inj.Stats,
-			}
-		}
-		workerRS := rs
+		spec := ReplicaSpec{Model: w.Model, Batch: w.Batch, GPU: g, runtime: &s.runtime, queueMask: a.QueueMask}
 		if a.FixedPartition > 0 {
-			workerRS = core.NewFixedRightSizer(a.FixedPartition, cfg.Spec.Topo.TotalCUs())
-		}
-		w := workers[i]
-		seed := cfg.Seed + int64(i)*7919 + 1
-		if w.rng == nil {
-			w.rng = rand.New(rand.NewSource(seed))
+			spec.CUs = a.FixedPartition
 		} else {
-			// Reseeding in place restores the exact state rand.New would
-			// produce, without the source allocation.
-			w.rng.Seed(seed)
+			spec.sizer = rs
 		}
-		if w.rt == nil {
-			w.rt = core.NewRuntime(eng, stack.cp, q, workerRS, rtCfg)
-		} else {
-			w.rt.Reconfigure(q, workerRS, rtCfg)
+		if h.ol != nil {
+			spec.Batch = h.ol.arrival.MaxBatch
 		}
-		// The cached kernel sequence is a pure function of (model, batch);
-		// invalidate it only when the slot's workload changed.
-		if w.spec.Model.Name != spec.Model.Name || w.spec.Batch != spec.Batch {
-			w.baseDescs = nil
-		}
-		w.spec = spec
-		w.eng = eng
-		w.pre = cfg.PreprocessUs
-		w.post = cfg.PostprocessUs
-		w.jitter = cfg.Jitter
-		w.measureStart = measureStart
-		w.measureEnd = measureEnd
+		r := n.AddReplica(spec)
+		s.r = r
+		s.h = h
 		// Fresh stats every run: the latency Sample escapes into Result,
 		// so its backing store must never be recycled.
-		w.stats = WorkerStats{Model: spec.Model.Name, Batch: spec.Batch}
-		w.openLoop = cfg.openLoop
-		w.chaos = nil
-		w.wd = nil
-		w.batchStart = 0
-		w.tel = newWorkerTelemetry(cfg.Telemetry, spec.Model.Name, i%numGPUs, q.ID)
+		s.stats = WorkerStats{Model: w.Model.Name, Batch: w.Batch}
+		s.tel = newWorkerTelemetry(cfg.Telemetry, w.Model.Name, g, r.rt.Queue().ID)
+		r.slot = s
 	}
 
 	// Arm the chaos substrate now that every queue exists: inject the fault
-	// timeline, start the SLO guard, and hand each worker its watchdog.
-	if inj != nil {
-		if cap(st.devs) < numGPUs {
-			st.devs = make([]*gpu.Device, numGPUs)
-			st.cps = make([]*hsa.CommandProcessor, numGPUs)
-		}
-		devs := st.devs[:numGPUs]
-		cps := st.cps[:numGPUs]
-		for g := range gpus {
-			devs[g] = gpus[g].dev
-			cps[g] = gpus[g].cp
-		}
-		inj.Arm(devs, cps)
-
-		plan := inj.Plan()
+	// timeline and start the SLO guard; each batch then gets a watchdog.
+	if n.inj != nil {
+		n.armFaults()
+		plan := n.inj.Plan()
 		ch := &chaosHarness{
 			eng:          eng,
-			stats:        &inj.Stats,
+			stats:        &n.inj.Stats,
 			batchTimeout: plan.WatchdogTimeout,
 			window:       plan.SLOWindow,
 			p99Threshold: float64(plan.SLOP99),
 			cooldown:     plan.SLOCooldown,
-			stopAt:       measureEnd,
+			stopAt:       h.measureEnd,
 		}
 		if reg := cfg.Telemetry.Registry(); reg != nil {
 			ch.sloViolations = reg.Counter("krisp_server_slo_violations_total",
 				"SLO-guard windows whose p99 exceeded the threshold")
 		}
-		for _, w := range workers {
-			ch.runtimes = append(ch.runtimes, w.rt)
-			w.chaos = ch
+		for i := range slots {
+			ch.runtimes = append(ch.runtimes, slots[i].r.rt)
 		}
 		// Auto-size the hardening deadlines from the slowest worker's
 		// isolated latency: generous enough that contention alone never
@@ -472,166 +390,146 @@ func Run(cfg Config) Result {
 			ch.cooldown = 2 * ch.window
 		}
 		ch.startGuard()
+		h.chaos = ch
 	}
 
-	if ol := cfg.openLoop; ol != nil {
-		ol.measureStart = measureStart
-		ol.measureEnd = measureEnd
+	if ol := h.ol; ol != nil {
+		ol.measureStart = h.measureStart
+		ol.measureEnd = h.measureEnd
 		ol.start(eng, cfg.Seed)
-		for _, w := range workers {
-			ol.park(w)
+		for i := range slots {
+			ol.park(slots[i].r)
 		}
 	} else {
-		for _, w := range workers {
-			w.start()
+		for i := range slots {
+			h.closedLoopNext(slots[i].r)
 		}
 	}
 
 	// Warm up, then open the measurement window.
-	eng.RunUntil(measureStart)
-	for _, g := range gpus {
+	eng.RunUntil(h.measureStart)
+	for _, g := range n.gpus {
 		g.meter.Reset(eng.Now())
 		g.dev.ResetUtilization()
 	}
-	eng.RunUntil(measureEnd)
+	eng.RunUntil(h.measureEnd)
 
 	var energyJ, busySum float64
-	for _, g := range gpus {
-		energyJ += g.meter.EnergyJ(measureEnd)
+	for _, g := range n.gpus {
+		energyJ += g.meter.EnergyJ(h.measureEnd)
 		busySum += g.dev.AvgBusyCUs()
 	}
 	result := Result{
 		Policy:         cfg.Policy,
 		WindowUs:       cfg.Measure,
 		EnergyJ:        energyJ,
-		AvgBusyCUs:     busySum / float64(numGPUs),
-		Oversubscribed: (cfg.Policy == policies.ModelRightSize || cfg.Policy == policies.MRSRequest) && anyOversub,
+		AvgBusyCUs:     busySum / float64(nc.GPUs),
+		Oversubscribed: modelGranular && anyOversub,
 		Interrupted:    eng.Interrupted(),
 	}
-	if inj != nil {
-		for _, w := range workers {
-			w.rt.FlushDegradedTime()
+	if n.inj != nil {
+		for i := range slots {
+			slots[i].r.rt.FlushDegradedTime()
 		}
-		stats := inj.Stats
+		stats := n.inj.Stats
 		result.Faults = &stats
 	}
-	result.Workers = make([]WorkerStats, 0, len(workers))
-	for _, w := range workers {
-		result.Workers = append(result.Workers, w.stats)
+	result.Workers = make([]WorkerStats, len(slots))
+	for i := range slots {
+		result.Workers[i] = slots[i].stats
 	}
 	result.RPS = metrics.Throughput(result.TotalRequests(), float64(cfg.Measure))
 	result.EnergyPerInference = energy.PerInference(result.EnergyJ, result.TotalRequests())
-	st.release()
+	releaseNode(n)
 	return result
 }
 
-// worker is one closed-loop model worker: it owns a stream and keeps a
-// batch in flight at all times.
-type worker struct {
-	spec   WorkerSpec
-	rt     *core.Runtime
-	rng    *rand.Rand
-	eng    *sim.Engine
-	pre    sim.Duration
-	post   sim.Duration
-	jitter float64
-
+// harness is one Run's serving state, shared by the batch hooks of its
+// workers' replicas. It lives on the run's node (Node.run).
+type harness struct {
+	eng                      *sim.Engine
 	measureStart, measureEnd sim.Time
-	stats                    WorkerStats
-	openLoop                 *openLoop
 	chaos                    *chaosHarness
-	tel                      *workerTelemetry
+	ol                       *openLoop
+	// now is the closed loop's arrival-stamp buffer: every request of a
+	// resubmitted batch arrives at the same instant.
+	now []sim.Time
 
-	// baseDescs caches the closed-loop kernel sequence (fixed batch size);
-	// descBuf is the reusable jittered copy. The submitted packets point
-	// into it, so it is rebuilt only in the next batch's preDone — after the
-	// sequence's last kernel completed, when every first attempt has been
-	// dispatched (retries run from the runtime's own copy).
-	baseDescs []kernels.Desc
-	descBuf   []kernels.Desc
-
-	// The closed loop keeps exactly one batch in flight, so the batch
-	// lifecycle lives in worker fields driven by pre-bound hooks instead
-	// of a per-batch closure chain — the steady-state loop allocates
-	// nothing.
-	batchStart sim.Time
-	wd         *watchdog
-	preFn      func()
-	seqFn      func()
-	postFn     func()
+	// Per-worker setup state and slots, indexed like Config.Workers.
+	rightSizes  []int
+	assignments []policies.Assignment
+	slots       []workerSlot
 }
 
-func (w *worker) start() {
-	if w.preFn == nil {
-		w.preFn = w.preDone
-		w.seqFn = w.seqDone
-		w.postFn = w.postDone
+// resized returns buf with length n and every element zeroed, reusing its
+// backing array when it is large enough.
+func resized[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
 	}
-	w.runBatch()
+	buf = buf[:n]
+	clear(buf)
+	return buf
 }
 
-func (w *worker) runBatch() {
-	w.batchStart = w.eng.Now()
-	if w.chaos != nil {
-		w.wd = w.chaos.armWatchdog(w)
-	}
-	w.eng.After(w.pre, w.preFn)
+// workerSlot is one worker's harness state, hung on its replica.
+type workerSlot struct {
+	h     *harness
+	r     *Replica
+	wd    *watchdog
+	tel   *workerTelemetry
+	stats WorkerStats
+	// runtime is the replica's runtime configuration (ReplicaSpec.runtime
+	// points here).
+	runtime core.Config
 }
 
-// preDone fires when pre-processing completes: submit the batch's kernel
-// sequence.
-func (w *worker) preDone() {
-	w.rt.RunSequence(w.jitteredKernels(), w.seqFn)
+// submit hands a replica its next batch. The watchdog is armed first, so
+// its event precedes the batch's pre-processing event.
+func (h *harness) submit(r *Replica, arrivals []sim.Time) {
+	if h.chaos != nil {
+		r.slot.wd = h.chaos.armWatchdog(r.rt)
+	}
+	r.submitBatch(arrivals)
 }
 
-// seqDone fires when the last kernel completes: pay post-processing.
-func (w *worker) seqDone() { w.eng.After(w.post, w.postFn) }
-
-// postDone closes out the batch and immediately starts the next one.
-func (w *worker) postDone() {
-	if w.wd != nil {
-		w.wd.stop()
-		w.wd = nil
+// closedLoopNext gives a closed-loop worker a full batch arriving now.
+func (h *harness) closedLoopNext(r *Replica) {
+	n := r.spec.Batch
+	if len(h.now) < n {
+		h.now = make([]sim.Time, n)
 	}
-	end := w.eng.Now()
-	if w.chaos != nil {
-		w.chaos.observeBatch(end - w.batchStart)
+	now := h.now[:n]
+	for i := range now {
+		now[i] = h.eng.Now()
 	}
-	w.tel.observeBatch(w.spec.Batch, w.batchStart, end)
-	if end > w.measureStart && end <= w.measureEnd {
-		w.stats.Batches++
-		w.stats.Requests += w.spec.Batch
-		w.stats.BatchLatency.Add(end - w.batchStart)
-	}
-	w.runBatch()
+	h.submit(r, now)
 }
 
-// jitteredKernels returns the model's kernel sequence with small
-// per-instance duration noise, modelling run-to-run variance so tail
-// latencies are meaningful. The closed-loop batch size never changes, so
-// the base sequence is built once and the jittered copy lands in the
-// worker's reusable buffer instead of a fresh slice per batch.
-func (w *worker) jitteredKernels() []kernels.Desc {
-	if w.baseDescs == nil {
-		w.baseDescs = w.spec.Model.Kernels(w.spec.Batch)
+// batchDone closes out a finished batch: stop its watchdog, feed the SLO
+// guard and telemetry, count it if it ended inside the measurement window,
+// then hand the worker its next batch (closed loop) or park it until
+// requests arrive (open loop).
+func (s *workerSlot) batchDone(r *Replica) {
+	if s.wd != nil {
+		s.wd.stop()
+		s.wd = nil
 	}
-	return w.jittered(w.baseDescs)
-}
-
-// jittered applies per-instance duration noise into the worker's reusable
-// desc buffer (the input is returned untouched when jitter is off).
-func (w *worker) jittered(descs []kernels.Desc) []kernels.Desc {
-	if w.jitter == 0 {
-		return descs
+	h := s.h
+	end := h.eng.Now()
+	if h.chaos != nil {
+		h.chaos.observeBatch(end - r.curStart)
 	}
-	if cap(w.descBuf) < len(descs) {
-		w.descBuf = make([]kernels.Desc, len(descs))
+	s.tel.observeBatch(r.curBatch, r.curStart, end)
+	if end > h.measureStart && end <= h.measureEnd {
+		s.stats.Batches++
+		s.stats.Requests += r.curBatch
+		s.stats.BatchLatency.Add(end - r.inflight[0].arrival)
 	}
-	out := w.descBuf[:len(descs)]
-	copy(out, descs)
-	for i := range out {
-		f := 1 + w.jitter*(2*w.rng.Float64()-1)
-		out[i].Work.WGTime *= sim.Duration(f)
+	if ol := h.ol; ol != nil {
+		ol.complete(r.inflight)
+		ol.park(r)
+		return
 	}
-	return out
+	h.closedLoopNext(r)
 }

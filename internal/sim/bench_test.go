@@ -1,8 +1,8 @@
 package sim
 
 // Engine microbenchmarks tracking the allocation-lean hot path. All report
-// allocs/op; scripts/bench.sh records them into BENCH_PR2.json so the perf
-// trajectory is visible across PRs.
+// allocs/op; CI runs each once, and BENCH_PR2.json holds the numbers they
+// gave when the engine was rewritten.
 //
 // BenchmarkEngineScheduleAndRun (engine_test.go) keeps the seed-era shape —
 // a fresh engine per iteration — so numbers stay comparable across the
